@@ -72,32 +72,28 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(ctx: click.Context, config_path: str | None, names: tuple[str, ...]) -> dict:
-    """Merge config file values under command-line flags."""
+    """Merge config file values under command-line flags.
+
+    A file value is converted by its option's own click type, from the
+    text the command line would carry for it (JSON ``true`` is the text
+    ``true``), so a file accepts and rejects exactly what a flag does.
+    A JSON ``null`` leaves the option at its default.
+    """
     file_values = _load_config_file(config_path) if config_path else {}
     unknown = sorted(set(file_values) - set(names))
     if unknown:
         raise click.UsageError(f"unknown config keys: {', '.join(unknown)}")
+    params = {param.name: param for param in ctx.command.params}
     resolved = {}
     for name in names:
         source = ctx.get_parameter_source(name)
-        from_file = name in file_values and source in (None, ParameterSource.DEFAULT)
-        resolved[name] = file_values[name] if from_file else ctx.params[name]
+        value = file_values.get(name)
+        if value is None or source not in (None, ParameterSource.DEFAULT):
+            resolved[name] = ctx.params[name]
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        resolved[name] = params[name].type.convert(text, params[name], ctx)
     return resolved
-
-
-def _coerce(resolved: dict, floats: tuple[str, ...] = (), ints: tuple[str, ...] = ()) -> None:
-    for name in floats:
-        if resolved.get(name) is not None:
-            try:
-                resolved[name] = float(resolved[name])
-            except (TypeError, ValueError):
-                raise click.UsageError(f"config key {name!r} must be a number")
-    for name in ints:
-        if resolved.get(name) is not None:
-            try:
-                resolved[name] = int(resolved[name])
-            except (TypeError, ValueError):
-                raise click.UsageError(f"config key {name!r} must be an integer")
 
 
 def _require(resolved: dict, *names: str) -> None:
@@ -158,10 +154,7 @@ def efficiency(ctx: click.Context, **_: object) -> None:
     """Read-in efficiency and mode structure at one design point."""
     names = ("t_hat", "gamma_hat", "side_pulses", "points_per_sigma", "kernel", "use_gates", "output")
     cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _coerce(cfg, floats=("t_hat", "gamma_hat"), ints=("side_pulses", "points_per_sigma"))
     _require(cfg, "t_hat", "gamma_hat")
-    if cfg["kernel"] not in ("gated", "ungated"):
-        raise click.UsageError("kernel must be 'gated' or 'ungated'")
 
     point = DesignPoint(
         t_hat=cfg["t_hat"],
@@ -213,11 +206,6 @@ def sweep(ctx: click.Context, **_: object) -> None:
         "side_pulses", "points_per_sigma", "output_csv", "output_json",
     )
     cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _coerce(
-        cfg,
-        floats=("t_min", "t_max", "gamma_min", "gamma_max"),
-        ints=("t_steps", "gamma_steps", "side_pulses", "points_per_sigma"),
-    )
     _require(cfg, "t_min", "t_max", "gamma_min", "gamma_max")
 
     emap = sweep_design_space(
@@ -242,7 +230,7 @@ def sweep(ctx: click.Context, **_: object) -> None:
 @click.option("--pump-fwhm-ghz", type=float, default=None, help="Pump intensity-spectrum FWHM.")
 @click.option("--filter-fwhm-ghz", type=float, default=None, help="Idler filter amplitude FWHM.")
 @click.option("--filter-center-ghz", type=float, default=0.0, show_default=True)
-@click.option("--points", type=int, default=2049, show_default=True, help="Frequency axis length.")
+@click.option("--points", type=click.IntRange(min=16), default=2049, show_default=True, help="Frequency axis length.")
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Spectrum curve CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
 @click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None, help="JSON config file.")
@@ -252,10 +240,7 @@ def spectrum(ctx: click.Context, **_: object) -> None:
     """Marginal spectrum of the heralded signal photon."""
     names = ("pump_fwhm_ghz", "filter_fwhm_ghz", "filter_center_ghz", "points", "output_csv", "output_json")
     cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _coerce(cfg, floats=("pump_fwhm_ghz", "filter_fwhm_ghz", "filter_center_ghz"), ints=("points",))
     _require(cfg, "pump_fwhm_ghz", "filter_fwhm_ghz")
-    if cfg["points"] < 16:
-        raise click.UsageError("points must be at least 16")
 
     quadrature = quadrature_marginal_fwhm(cfg["pump_fwhm_ghz"], cfg["filter_fwhm_ghz"])
     center = -cfg["filter_center_ghz"]
@@ -293,7 +278,6 @@ def analyze(ctx: click.Context, **_: object) -> None:
     """Reduce count records to heralding efficiencies, g2 and rate fits."""
     names = ("counts_csv", "transmission", "transmission_err", "detector_efficiency", "output")
     cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _coerce(cfg, floats=("transmission", "transmission_err", "detector_efficiency"))
     _require(cfg, "counts_csv", "transmission", "detector_efficiency")
 
     path = OpticalPath(
@@ -391,10 +375,7 @@ def fit_spectrum(ctx: click.Context, **_: object) -> None:
     """Fit the heralded-photon bandwidth from a filter-detuning sweep."""
     names = ("sweep_csv", "filter_fwhm_ghz", "transmission_model", "output")
     cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _coerce(cfg, floats=("filter_fwhm_ghz",))
     _require(cfg, "sweep_csv", "filter_fwhm_ghz")
-    if cfg["transmission_model"] not in ("intensity", "amplitude"):
-        raise click.UsageError("transmission-model must be 'intensity' or 'amplitude'")
 
     points = read_sweep_csv(cfg["sweep_csv"])
     filt = GaussianFilterSpec.from_amplitude_fwhm(cfg["filter_fwhm_ghz"])

@@ -20,6 +20,10 @@ from scipy.optimize import curve_fit
 from .errors import FitConvergenceError, ParameterError
 from .signal_model import GaussianFilterSpec, SQRT_LN2
 
+# Narrowest photon bandwidth the sweep fit resolves, as a fraction of the
+# scan line FWHM; fits at or below it are flagged resolution-limited.
+RESOLUTION_FLOOR_PER_KERNEL_FWHM = 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -272,10 +276,13 @@ def fit_hsp_bandwidth(
 ) -> BandwidthFit:
     """Fit the heralded-photon bandwidth from a filter-detuning sweep.
 
-    The model is the normalized convolution of the scanning filter line
-    with a Gaussian photon spectrum exp(-4 pi^2 delta_t^2 nu^2); the
-    fitted duration parameter ``delta_t`` maps to the intensity FWHM
-    bandwidth delta_nu = sqrt(ln 2) / (pi delta_t).
+    The model is the peak-normalized convolution of the Gaussian
+    scanning filter line (FWHM ``kernel``) with a Gaussian photon
+    spectrum exp(-4 pi^2 delta_t^2 nu^2) (FWHM ``photon``), which is the
+    Gaussian of FWHM^2 = kernel^2 + photon^2 in closed form; the fitted
+    duration parameter ``delta_t`` maps to the intensity FWHM bandwidth
+    delta_nu = photon = sqrt(ln 2) / (pi delta_t).  Widths below
+    kernel/16 are flagged ``resolution_limited``.
 
     Parameters
     ----------
@@ -304,25 +311,15 @@ def fit_hsp_bandwidth(
     if span < filter_fwhm:
         raise ParameterError("sweep must span at least one filter FWHM")
 
-    gamma = signal_filter.gamma
     exponent = 2.0 if transmission == "intensity" else 1.0
     kernel_fwhm = filter_fwhm / math.sqrt(exponent)
-
-    # Fixed internal grid: fine enough for the narrowest resolvable
-    # photon line, wide enough for any center within the data span.
-    step = kernel_fwhm / 64.0
-    count = int(math.ceil((span + 4.0 * kernel_fwhm) / step))
-    axis = np.arange(-count, count + 1) * step
-    filter_line = np.exp(-exponent * (math.pi**2 / gamma**2) * axis**2)
-
-    nu_floor = 4.0 * step
+    nu_floor = kernel_fwhm * RESOLUTION_FLOOR_PER_KERNEL_FWHM
     dt_max = SQRT_LN2 / (math.pi * nu_floor)
 
     def model(x: np.ndarray, delta_t: float, center: float, scale: float) -> np.ndarray:
-        photon = np.exp(-4.0 * (math.pi * delta_t * axis) ** 2)
-        curve = np.convolve(filter_line, photon, mode="same")
-        curve = curve / curve.max()
-        return scale * np.interp(x - center, axis, curve)
+        photon_fwhm = SQRT_LN2 / (math.pi * delta_t)
+        fwhm_sq = kernel_fwhm**2 + photon_fwhm**2
+        return scale * np.exp(-4.0 * math.log(2.0) * (x - center) ** 2 / fwhm_sq)
 
     weights = np.clip(rates, 0.0, None)
     total = weights.sum()

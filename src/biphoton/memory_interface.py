@@ -8,7 +8,7 @@ The read-in efficiency is the weight of the fundamental temporal mode in
 the gated biphoton state, referred to the norm of the single-pulse,
 ungated, filtered state:
 
-    eta_in = lambda_1^2(gated) / N,     N = ||f_single-pulse, ungated||^2
+    eta_in = lambda_1^2(gated) / N,     N = ||f_single-pulse, ungated||^2 = pi / (2 gamma_hat)
 
 so it folds together the gating loss and the modal purity of what
 survives the gate.  A memory whose acceptance mode matches the
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import DecompositionError, GridMismatchError, ParameterError
 from .formatting import fmt
 from .joint_amplitude import JointAmplitude, assemble_gated_jta
-from .schmidt import schmidt_decompose
 from .signal_model import (
     GaussianFilterSpec,
     PulseTrainSpec,
@@ -102,25 +101,6 @@ def _local_half_width(gamma_hat: float) -> float:
     return SUPPORT_HALF_WIDTH * (1.0 + 1.0 / gamma_hat)
 
 
-def _reference_norm(gamma_hat: float, step: float) -> float:
-    """Norm squared of the single-pulse, ungated, filtered amplitude.
-
-    Evaluated on its own midpoint lattice; the integrand is smooth with
-    Gaussian decay so the midpoint rule is spectrally accurate here.
-    Accumulated in row blocks to bound memory on fine lattices.
-    """
-    grid = _midpoint_grid(_local_half_width(gamma_hat), step)
-    t = grid.points
-    pump_sq = np.exp(-2.0 * t**2)
-    total = 0.0
-    block = 512
-    for start in range(0, t.size, block):
-        t_i = t[start : start + block]
-        response_sq = np.exp(-2.0 * (gamma_hat * (t_i[:, None] - t[None, :])) ** 2)
-        total += float((response_sq * pump_sq[None, :]).sum())
-    return total * step * step
-
-
 def evaluate_design(
     point: DesignPoint,
     include_gates: bool = True,
@@ -179,11 +159,12 @@ def evaluate_design(
     lambda_sq = weights / total
     purity = float((lambda_sq**2).sum())
 
-    reference = _reference_norm(gamma, step)
+    # Integral of exp(-2 gamma^2 (t_i - t_s)^2) exp(-2 t_s^2) over the plane.
+    reference = math.pi / (2.0 * gamma)
     if kernel == "gated":
         numerator = float(weights[0])
     else:
-        numerator = _ungated_kernel_overlap(jta, train, filt, local, step)
+        numerator = _ungated_kernel_overlap(jta, gamma)
 
     return DesignReport(
         point=point,
@@ -200,32 +181,17 @@ def evaluate_design(
     )
 
 
-def _ungated_kernel_overlap(
-    jta: JointAmplitude,
-    train: PulseTrainSpec,
-    filt: GaussianFilterSpec,
-    local: float,
-    step: float,
-) -> float:
-    """Overlap <K| rho_s |K> with K the single-pulse ungated fundamental mode."""
-    single = PulseTrainSpec(sigma_p=train.sigma_p, period=train.period, n_side_pulses=0)
-    grid_u = _midpoint_grid(local, step)
-    jta_u = assemble_gated_jta(single, filt, None, grid_u, grid_u)
-    kernel_full = schmidt_decompose(jta_u, k_max=1).signal_modes[0]
+def _ungated_kernel_overlap(jta: JointAmplitude, gamma_hat: float) -> float:
+    """Overlap <K| rho_s |K> with K the single-pulse ungated fundamental mode.
 
-    # Both lattices share the node family +/-(j + 1/2) step, so the gated
-    # signal axis is a centred contiguous slice of the ungated one.
-    n_block = jta.axis_s.n_points
-    offset = (grid_u.n_points - n_block) // 2
-    if offset < 0:
-        raise GridMismatchError("gated block extends beyond the ungated kernel lattice")
-    sliced = grid_u.points[offset : offset + n_block]
-    if not np.allclose(sliced, jta.axis_s.points, rtol=0.0, atol=1e-9 * step):
-        raise GridMismatchError("gated and ungated lattices are misaligned")
-    kernel = kernel_full[offset : offset + n_block]
-
-    dt = jta.axis_s.step
-    projected = np.asarray(jta.values) @ np.conj(kernel) * dt
+    The single-pulse state is a bivariate Gaussian, so its Schmidt modes
+    are Hermite-Gaussians (Mehler kernel; Law, Walmsley & Eberly, PRL 84,
+    5304 (2000)) and the signal fundamental is
+    K(t) = (2 alpha / pi)^(1/4) exp(-alpha t^2) with alpha = sqrt(1 + gamma_hat^2).
+    """
+    alpha = math.sqrt(1.0 + gamma_hat**2)
+    kernel = (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * jta.axis_s.points**2)
+    projected = np.asarray(jta.values) @ kernel * jta.axis_s.step
     return float((np.abs(projected) ** 2).sum() * jta.axis_i.step)
 
 

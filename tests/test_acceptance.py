@@ -14,6 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import record_criterion
+from test_counting import synthetic_sweep
+from test_joint_amplitude import marginal_by_quadrature
 
 from biphoton.cli import main as cli_main
 from biphoton.counting import (
@@ -38,12 +40,12 @@ from biphoton.memory_interface import (
 )
 from biphoton.schmidt import schmidt_decompose
 from biphoton.signal_model import (
-    SQRT_LN2,
     GaussianFilterSpec,
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
     gamma_from_filter_fwhm,
+    half_maximum_width,
     sigma_p_from_pump_fwhm,
 )
 
@@ -136,12 +138,17 @@ def test_criterion_4_marginal_bandwidth():
     result = marginal_signal_spectrum(PUMP_FWHM_GHZ, FILTER_FWHM_GHZ)
     quadrature = quadrature_marginal_fwhm(PUMP_FWHM_GHZ, FILTER_FWHM_GHZ)
     rel = abs(result.fwhm - quadrature) / quadrature
-    ok = 1.56 <= result.fwhm <= 1.68 and rel <= 1e-3
+    # Independent route: the nu_i-marginal integrated numerically.
+    curve = marginal_by_quadrature(result.frequencies, PUMP_FWHM_GHZ, FILTER_FWHM_GHZ)
+    numerical = half_maximum_width(result.frequencies, curve)
+    rel_numerical = abs(result.fwhm - numerical) / numerical
+    ok = 1.56 <= result.fwhm <= 1.68 and rel <= 1e-3 and rel_numerical <= 1e-3
     report(
         4,
         ok,
         f"marginal FWHM={result.fwhm:.5f} GHz in [1.56, 1.68]; "
-        f"vs quadrature {quadrature:.5f} GHz, relative gap {rel:.2e} <= 1e-3",
+        f"vs quadrature {quadrature:.5f} GHz, relative gap {rel:.2e} <= 1e-3; "
+        f"vs numerical nu_i-marginal {numerical:.5f} GHz, relative gap {rel_numerical:.2e} <= 1e-3",
     )
 
 
@@ -215,16 +222,6 @@ def test_criterion_5_counting_formulas():
         f"g2: zero-triples={g2_zero}, coherent={g2_one:.12f}, "
         f"scale drift={g2_drift:.1e} <= 1e-12",
     )
-
-
-def synthetic_sweep(delta_nu, filter_fwhm, n=25, span=8.0):
-    gamma = math.pi * filter_fwhm / (2.0 * SQRT_LN2)
-    delta_t = SQRT_LN2 / (math.pi * delta_nu)
-    a = 2.0 * math.pi**2 / gamma**2
-    b = 4.0 * math.pi**2 * delta_t**2
-    width = a * b / (a + b)
-    x = np.linspace(-span / 2.0, span / 2.0, n)
-    return [SweepPoint(float(xi), float(math.exp(-width * xi**2))) for xi in x]
 
 
 def test_criterion_6_spectral_fit_round_trip():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from test_counting import convolved_line
+
 from biphoton.cli import main
 from biphoton.memory_interface import DesignPoint, read_in_efficiency
-from biphoton.signal_model import SQRT_LN2
 
 COUNTS_HEADER = "pump_power_mW,c_T,c_H,c_V,c_H_given_T,c_V_given_T,c_HV_given_T,acc_s_given_T"
 COUNTS_BODY = (
@@ -59,6 +60,34 @@ class TestEfficiencyCommand:
         result = runner.invoke(main, ["efficiency", "--t-hat", "11"])
         assert result.exit_code == 2
         assert "gamma_hat" in result.output
+
+    def test_config_string_false_disables_gates(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "use_gates": "false"}))
+        from_file = run_json(runner, ["efficiency", "--config", str(config)])
+        flag = run_json(runner, ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--no-gates"])
+        assert from_file["config"]["use_gates"] is False
+        assert from_file["eta_in"] == flag["eta_in"]
+
+    def test_config_fractional_integer_rejected(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "points_per_sigma": 16.9}))
+        result = runner.invoke(main, ["efficiency", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "16.9" in result.output
+
+    def test_config_boolean_number_rejected(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t_hat": True, "gamma_hat": 0.85}))
+        result = runner.invoke(main, ["efficiency", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "true" in result.output
+
+    def test_ungated_kernel_without_gates(self, runner):
+        args = ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--no-gates"]
+        ungated = run_json(runner, args + ["--kernel", "ungated"])
+        gated = run_json(runner, args + ["--kernel", "gated"])
+        assert 0.0 < ungated["eta_in"] <= gated["eta_in"]
 
     def test_invalid_physics_parameter(self, runner):
         result = runner.invoke(main, ["efficiency", "--t-hat", "-1", "--gamma-hat", "0.85"])
@@ -185,16 +214,12 @@ class TestAnalyzeCommand:
 
 class TestFitSpectrumCommand:
     def write_sweep(self, path, n=25, delta_nu=1.78, filter_fwhm=1.1):
-        # Closed form for a Gaussian photon line swept by a Gaussian
-        # intensity filter: another Gaussian with the combined width.
-        gamma = math.pi * filter_fwhm / (2.0 * SQRT_LN2)
-        delta_t = SQRT_LN2 / (math.pi * delta_nu)
-        a = 2.0 * math.pi**2 / gamma**2
-        b = 4.0 * math.pi**2 * delta_t**2
-        width = a * b / (a + b)
+        # A Gaussian photon line swept by the Gaussian intensity filter line,
+        # convolved numerically.
         x = np.linspace(-4.0, 4.0, n)
+        rates = convolved_line(x, delta_nu, filter_fwhm / math.sqrt(2.0))
         rows = ["detuning_GHz,normalized_coincidences"]
-        rows += [f"{xi:.9g},{math.exp(-width * xi**2):.9g}" for xi in x]
+        rows += [f"{xi:.9g},{r:.9g}" for xi, r in zip(x, rates)]
         path.write_text("\n".join(rows) + "\n")
 
     def test_roundtrip(self, runner, tmp_path):

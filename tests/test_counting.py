@@ -19,7 +19,7 @@ from biphoton.counting import (
     write_sweep_csv,
 )
 from biphoton.errors import ParameterError
-from biphoton.signal_model import GaussianFilterSpec, SQRT_LN2
+from biphoton.signal_model import GaussianFilterSpec
 
 
 def make_record(**overrides):
@@ -183,19 +183,35 @@ class TestModeMatchRatio:
             mode_match_ratio(Measurement(0.3, 0.01), Measurement(0.0, 0.01))
 
 
-def synthetic_sweep(delta_nu, filter_fwhm, *, exponent=2.0, center=0.0, scale=1.0, n=25, span=8.0):
-    """Closed-form sweep curve: Gaussian convolved with the Gaussian line.
+def convolved_line(x, delta_nu, kernel_fwhm):
+    """Photon line of FWHM ``delta_nu`` seen through a scan line of FWHM
+    ``kernel_fwhm``, by fine-grid numerical convolution, normalized to 1 at 0.
 
-    This is the independent analytic route; the fit model integrates the
-    same convolution numerically.
+    This is the independent numerical route; the fit model uses the
+    closed form of the same convolution.
     """
-    gamma = math.pi * filter_fwhm / (2.0 * SQRT_LN2)
-    delta_t = SQRT_LN2 / (math.pi * delta_nu)
-    a = exponent * math.pi**2 / gamma**2
-    b = 4.0 * math.pi**2 * delta_t**2
-    width = a * b / (a + b)
+    narrow = min(delta_nu, kernel_fwhm)
+    reach = 6.0 * max(delta_nu, kernel_fwhm)
+    step = narrow / 64.0
+    nu = np.arange(-reach - np.abs(x).max(), reach + np.abs(x).max() + step, step)
+    photon = np.exp(-4.0 * math.log(2.0) * (nu / delta_nu) ** 2)
+
+    def at(offset):
+        line = np.exp(-4.0 * math.log(2.0) * ((offset - nu) / kernel_fwhm) ** 2)
+        return float((line * photon).sum())
+
+    return np.array([at(offset) for offset in x]) / at(0.0)
+
+
+def synthetic_sweep(delta_nu, filter_fwhm, *, exponent=2.0, center=0.0, scale=1.0, n=25, span=8.0):
+    """Sweep of a Gaussian photon line across the Gaussian filter line.
+
+    ``exponent`` 2 scans with the intensity line (FWHM filter/sqrt 2), 1
+    with the amplitude line.
+    """
     x = np.linspace(center - span / 2.0, center + span / 2.0, n)
-    return [SweepPoint(float(xi), float(scale * math.exp(-width * (xi - center) ** 2))) for xi in x]
+    rates = scale * convolved_line(x - center, delta_nu, filter_fwhm / math.sqrt(exponent))
+    return [SweepPoint(float(xi), float(r)) for xi, r in zip(x, rates)]
 
 
 class TestBandwidthFit:

@@ -178,7 +178,35 @@ class TestFrequencyDomain:
         assert np.allclose(spacings, 1.0 / period, atol=2 * spectral.axis_s.step)
 
 
+def marginal_by_quadrature(nu_s, pump_fwhm, filter_amplitude_fwhm, filter_center=0.0):
+    """Marginal signal spectrum by numerical integration over nu_i, peak-normalized.
+
+    S(nu_s) = integral exp(-a (nu_i - f_c)^2 - b (nu_s + nu_i)^2) dnu_i with
+    a, b the filter-intensity and pump exponents.  Each row is integrated
+    by a 257-node trapezoid rule over +/-8 widths of its own integrand, which
+    is centred between the filter line and the pump resonance.
+    """
+    a = 4.0 * math.log(2.0) / (filter_amplitude_fwhm / math.sqrt(2.0)) ** 2
+    b = 4.0 * math.log(2.0) / pump_fwhm**2
+    center = (a * filter_center - b * nu_s) / (a + b)
+    width = 1.0 / math.sqrt(a + b)
+    offsets = np.linspace(-8.0, 8.0, 257)
+    nu_i = center[:, None] + offsets[None, :] * width
+    integrand = np.exp(-a * (nu_i - filter_center) ** 2 - b * (nu_s[:, None] + nu_i) ** 2)
+    intensity = np.trapezoid(integrand, dx=(offsets[1] - offsets[0]) * width, axis=1)
+    return intensity / intensity.max()
+
+
 class TestMarginalSpectrum:
+    @pytest.mark.parametrize(
+        "pump,filt,center",
+        [(1.3, 1.4, 0.0), (0.8, 2.0, 1.0), (2.5, 0.9, -3.0), (1.3, 1e-3, 0.0), (1.3, 1000.0, 0.0)],
+    )
+    def test_curve_matches_quadrature(self, pump, filt, center):
+        result = marginal_signal_spectrum(pump, filt, filter_center=center)
+        oracle = marginal_by_quadrature(result.frequencies, pump, filt, center)
+        assert np.abs(result.intensity - oracle).max() <= 1e-9
+
     @pytest.mark.parametrize(
         "pump,filt",
         [(1.3, 1.4), (0.8, 2.0), (2.5, 0.9), (1.0, math.sqrt(2.0))],

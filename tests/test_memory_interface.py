@@ -5,6 +5,7 @@ import pytest
 
 import biphoton.memory_interface as mi
 from biphoton.errors import ParameterError
+from biphoton.joint_amplitude import assemble_gated_jta
 from biphoton.memory_interface import (
     DesignPoint,
     EfficiencyMap,
@@ -15,6 +16,8 @@ from biphoton.memory_interface import (
     total_memory_efficiency,
     write_efficiency_map_csv,
 )
+from biphoton.schmidt import schmidt_decompose
+from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid
 
 
 def closed_form_top_weight(gamma_hat):
@@ -25,9 +28,54 @@ def closed_form_top_weight(gamma_hat):
     return 2.0 * purity / (1.0 + purity)
 
 
-def reference_norm_closed_form(gamma_hat):
-    # Integral of exp(-2 gamma^2 (t_i - t_s)^2) exp(-2 t_s^2) over the plane.
-    return math.pi / (2.0 * gamma_hat)
+def midpoint_grid(half_width, step):
+    count = max(1, math.ceil(half_width / step - 0.5))
+    edge = (count - 0.5) * step
+    return TimeGrid(2 * count, -edge, edge)
+
+
+def reference_norm_lattice_sum(gamma_hat, step):
+    # Midpoint-rule sum of exp(-2 gamma^2 (t_i - t_s)^2) exp(-2 t_s^2) over
+    # the single pulse's support; spectrally accurate for this Gaussian
+    # integrand.  Accumulated in row blocks to bound memory.
+    t = midpoint_grid(5.0 * (1.0 + 1.0 / gamma_hat), step).points
+    pump_sq = np.exp(-2.0 * t**2)
+    total = 0.0
+    for start in range(0, t.size, 512):
+        t_i = t[start : start + 512]
+        response_sq = np.exp(-2.0 * (gamma_hat * (t_i[:, None] - t[None, :])) ** 2)
+        total += float((response_sq * pump_sq[None, :]).sum())
+    return total * step * step
+
+
+def ungated_kernel_eta_by_svd(point, include_gates=True):
+    """eta_in with the ungated kernel, the kernel taken from an SVD.
+
+    The kernel is the signal fundamental of the single-pulse ungated
+    amplitude, decomposed on a lattice wide enough to hold the evaluated
+    block, which is a centred slice of it.
+    """
+    step = 1.0 / point.points_per_sigma
+    local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
+    train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
+    filt = GaussianFilterSpec(gamma=point.gamma_hat)
+    if include_gates:
+        grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
+        gates = TimeGateSpec(width=point.t_hat)
+    else:
+        grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
+        gates = None
+    jta = assemble_gated_jta(train, filt, gates, grid, grid)
+
+    wide = midpoint_grid(max(local, grid.t_max + 0.5 * step), step)
+    single = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=0)
+    mode = schmidt_decompose(assemble_gated_jta(single, filt, None, wide, wide), k_max=1).signal_modes[0]
+    offset = (wide.n_points - grid.n_points) // 2
+    assert np.allclose(wide.points[offset : offset + grid.n_points], grid.points, rtol=0.0, atol=1e-12)
+    kernel = mode[offset : offset + grid.n_points]
+    projected = jta.values @ kernel * step
+    overlap = float((np.abs(projected) ** 2).sum() * step)
+    return overlap / reference_norm_lattice_sum(point.gamma_hat, step)
 
 
 class TestDesignPoint:
@@ -54,8 +102,9 @@ class TestMidpointLattice:
 
     def test_reference_norm_matches_closed_form(self):
         for gamma_hat in (0.3, 0.85, 2.0):
-            numeric = mi._reference_norm(gamma_hat, 1.0 / 16.0)
-            assert numeric == pytest.approx(reference_norm_closed_form(gamma_hat), rel=1e-12)
+            numeric = reference_norm_lattice_sum(gamma_hat, 1.0 / 16.0)
+            closed = evaluate_design(DesignPoint(t_hat=3.0, gamma_hat=gamma_hat)).norm_reference
+            assert closed == pytest.approx(numeric, rel=1e-12)
 
 
 class TestReadInEfficiency:
@@ -86,6 +135,25 @@ class TestReadInEfficiency:
             ungated = read_in_efficiency(point, kernel="ungated")
             assert ungated <= gated + 1e-12
             assert ungated > 0.25 * gated
+
+    @pytest.mark.parametrize(
+        "t_hat,gamma_hat",
+        # The first three gates clip the single-pulse support; the last does not.
+        [(2.0, 0.9), (6.0, 0.5), (11.0, 0.85), (40.0, 1.5)],
+    )
+    def test_ungated_kernel_matches_svd_oracle(self, t_hat, gamma_hat):
+        point = DesignPoint(t_hat=t_hat, gamma_hat=gamma_hat)
+        eta = read_in_efficiency(point, kernel="ungated")
+        assert abs(eta - ungated_kernel_eta_by_svd(point)) <= 1e-12
+
+    def test_ungated_kernel_without_gates_spans_the_train(self):
+        # The evaluated lattice holds all side pulses, so it is wider than the
+        # single pulse's own support.
+        point = DesignPoint(t_hat=4.0, gamma_hat=0.85, n_side_pulses=3)
+        ungated = read_in_efficiency(point, include_gates=False, kernel="ungated")
+        gated = read_in_efficiency(point, include_gates=False, kernel="gated")
+        assert ungated <= gated + 1e-12
+        assert abs(ungated - ungated_kernel_eta_by_svd(point, include_gates=False)) <= 1e-12
 
     def test_report_consistency(self):
         report = evaluate_design(DesignPoint(t_hat=3.0, gamma_hat=0.9))
