@@ -124,6 +124,10 @@ def _tool_errors(func):
         except (ParameterError, GridMismatchError, DecompositionError, FitConvergenceError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
+        except (MemoryError, np.linalg.LinAlgError) as exc:
+            detail = " ".join(str(exc).split()) or "no detail"
+            click.echo(f"error: {type(exc).__name__}: {detail}", err=True)
+            sys.exit(4)
 
     return wrapper
 
@@ -196,9 +200,10 @@ def efficiency(ctx: click.Context, **_: object) -> None:
 def sweep(ctx: click.Context, **_: object) -> None:
     """Sweep the design rectangle and report per-row optima.
 
-    Parallelism is controlled by the BIPHOTON_THREADS environment
-    variable (0 or unset: one thread per CPU); results do not depend on
-    the thread count.
+    Cells of a row that share a lattice are evaluated in batches, one
+    batched eigvalsh of J^T J each, on a thread pool sized by the
+    BIPHOTON_THREADS environment variable (0 or unset: one thread per
+    CPU); results do not depend on the thread count.
     """
     names = (
         "t_min", "t_max", "t_steps",

@@ -90,16 +90,36 @@ def assemble_gated_jta(
     elif grid_i is None or grid_s is None:
         raise GridMismatchError("provide both grids or neither")
 
-    t_i = grid_i.points
-    t_s = grid_s.points
-    omega = sample_pump_train(train, grid_s, check_coverage=gates is None)
-    response = np.exp(-((filt.gamma * (t_i[:, None] - t_s[None, :])) ** 2))
-    values = response * omega[None, :]
-    if gates is not None:
-        gate_i = sample_gate(gates, grid_i)
-        gate_s = sample_gate(gates, grid_s)
-        values = values * (gate_i[:, None] * gate_s[None, :])
+    values = gated_jta_stack(train, np.array([filt.gamma]), gates, grid_i, grid_s)[0]
     return JointAmplitude(values, grid_i, grid_s, TIME_DOMAIN)
+
+
+def gated_jta_stack(
+    train: PulseTrainSpec,
+    gammas: np.ndarray,
+    gates: TimeGateSpec | None,
+    grid_i: TimeGrid,
+    grid_s: TimeGrid,
+) -> np.ndarray:
+    """Value matrices of the joint amplitude for a stack of filter constants.
+
+    ``values[k] = exp(-(gammas[k] (t_i - t_s))^2) * Omega_tot(t_s) * G(t_i) G(t_s)``
+    with shape ``(gammas.size, n_i, n_s)``.  The filters share the pump
+    train, the gates and the lattice, so the stack is built in place: one
+    outer product of the filter constants with the time differences, one
+    exponential and one multiplication by the train and gate windows.
+    ``gates=None`` leaves the state ungated.
+    """
+    omega = sample_pump_train(train, grid_s, check_coverage=gates is None)
+    values = np.multiply.outer(gammas, np.subtract.outer(grid_i.points, grid_s.points))
+    np.square(values, out=values)
+    np.negative(values, out=values)
+    np.exp(values, out=values)
+    values *= omega
+    if gates is not None:
+        values *= sample_gate(gates, grid_s)
+        values *= sample_gate(gates, grid_i)[:, None]
+    return values
 
 
 def to_frequency_domain(jta: JointAmplitude) -> JointAmplitude:

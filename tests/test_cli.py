@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,11 @@ from click.testing import CliRunner
 
 from test_counting import convolved_line
 
+import biphoton.cli as cli
 from biphoton.cli import main
 from biphoton.memory_interface import DesignPoint, read_in_efficiency
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 COUNTS_HEADER = "pump_power_mW,c_T,c_H,c_V,c_H_given_T,c_V_given_T,c_HV_given_T,acc_s_given_T"
 COUNTS_BODY = (
@@ -93,6 +100,29 @@ class TestEfficiencyCommand:
         result = runner.invoke(main, ["efficiency", "--t-hat", "-1", "--gamma-hat", "0.85"])
         assert result.exit_code == 4
 
+    def test_lattice_over_cap_is_numerical_error(self, runner):
+        result = runner.invoke(main, ["efficiency", "--t-hat", "1e9", "--gamma-hat", "1", "--no-gates"])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: lattice of ")
+
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("cannot allocate the lattice"), MemoryError(), np.linalg.LinAlgError("Eigenvalues did not converge")],
+    )
+    def test_memory_and_linalg_errors_are_numerical_errors(self, runner, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "evaluate_design", failing)
+        result = runner.invoke(main, ["efficiency", "--t-hat", "11", "--gamma-hat", "0.85"])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {type(error).__name__}: ")
+        assert "Traceback" not in result.output
+
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(
@@ -141,6 +171,34 @@ class TestSweepCommand:
         missing = tmp_path / "no" / "such" / "dir" / "map.csv"
         result = runner.invoke(main, self.ARGS + ["--output-csv", str(missing)])
         assert result.exit_code == 3
+
+    def test_csv_identical_across_processes_and_thread_counts(self, tmp_path):
+        # Fresh interpreters with one or two pool threads and one or the
+        # default number of BLAS threads.  The rectangle holds rows on one
+        # lattice and rows on several.
+        args = [
+            "sweep",
+            "--t-min", "2", "--t-max", "20", "--t-steps", "8",
+            "--gamma-min", "0.5", "--gamma-max", "3", "--gamma-steps", "16",
+        ]
+        base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join([SRC_DIR, base.get("PYTHONPATH", "")])
+        outputs = []
+        for threads in ("1", "2"):
+            for blas in ("1", None):
+                env = dict(base, BIPHOTON_THREADS=threads)
+                if blas is not None:
+                    env["OPENBLAS_NUM_THREADS"] = blas
+                csv_path = tmp_path / f"map-{threads}-{blas}.csv"
+                done = subprocess.run(
+                    [sys.executable, "-m", "biphoton.cli", *args, "--output-csv", str(csv_path)],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert done.returncode == 0, done.stderr
+                assert json.loads(done.stdout)["failures"] == []
+                outputs.append(csv_path.read_bytes())
+        assert len(outputs[0].splitlines()) == 1 + 8 * 16
+        assert all(output == outputs[0] for output in outputs[1:])
 
 
 class TestSpectrumCommand:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,42 @@ def ungated_kernel_eta_by_svd(point, include_gates=True):
     return overlap / reference_norm_lattice_sum(point.gamma_hat, step)
 
 
+def svd_report(point, include_gates=True, kernel="gated"):
+    """eta_in, purity, gating loss and lambda^2 head by an SVD of the block.
+
+    The route the library took before its weights came from eigvalsh of
+    the Gram matrix: singular values of the assembled block, squared and
+    scaled by the cell area, against the lattice-sum reference norm.
+    """
+    step = 1.0 / point.points_per_sigma
+    local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
+    train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
+    filt = GaussianFilterSpec(gamma=point.gamma_hat)
+    if include_gates:
+        grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
+        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid, grid)
+    else:
+        grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
+        jta = assemble_gated_jta(train, filt, None, grid, grid)
+    weights = np.linalg.svd(jta.values, compute_uv=False) ** 2 * step * step
+    reference = reference_norm_lattice_sum(point.gamma_hat, step)
+    lambda_sq = weights / weights.sum()
+    if kernel == "gated":
+        eta = weights[0] / reference
+    else:
+        eta = ungated_kernel_eta_by_svd(point, include_gates)
+    return {
+        "eta_in": eta,
+        "purity": float((lambda_sq**2).sum()),
+        "gating_loss": weights.sum() / reference,
+        "lambda_sq_head": lambda_sq[:8],
+    }
+
+
+# t_hat in [14, 30], gamma_hat in [0.5, 3]: every row holds 3 to 9 lattice sizes.
+MIXED_LATTICE_RECT = ((14.0, 30.0), (0.5, 3.0), (5, 9))
+
+
 class TestDesignPoint:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -155,6 +192,30 @@ class TestReadInEfficiency:
         assert ungated <= gated + 1e-12
         assert abs(ungated - ungated_kernel_eta_by_svd(point, include_gates=False)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "t_hat,gamma_hat,side_pulses,include_gates,kernel",
+        [
+            (12.0, 0.1, 3, True, "gated"),
+            (11.0, 0.85, 3, True, "gated"),
+            (2.0, 0.9268, 3, True, "gated"),
+            (6.0, 0.5, 3, True, "ungated"),
+            (11.0, 0.85, 3, True, "ungated"),
+            (4.0, 0.7, 0, False, "gated"),
+            (4.0, 0.85, 3, False, "gated"),
+            (4.0, 0.85, 3, False, "ungated"),
+        ],
+    )
+    def test_eigen_route_matches_svd_oracle(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
+        point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
+        report = evaluate_design(point, include_gates=include_gates, kernel=kernel)
+        oracle = svd_report(point, include_gates, kernel)
+        assert abs(report.eta_in - oracle["eta_in"]) <= 1e-12
+        assert abs(report.purity - oracle["purity"]) <= 1e-12
+        assert abs(report.gating_loss - oracle["gating_loss"]) <= 1e-12
+        head = np.array(report.lambda_sq_head)
+        assert head.size == oracle["lambda_sq_head"].size
+        assert np.abs(head - oracle["lambda_sq_head"]).max() <= 1e-12
+
     def test_report_consistency(self):
         report = evaluate_design(DesignPoint(t_hat=3.0, gamma_hat=0.9))
         assert report.eta_in == pytest.approx(report.gating_loss * report.top_mode_weight, rel=1e-12)
@@ -162,6 +223,20 @@ class TestReadInEfficiency:
         assert report.schmidt_number == pytest.approx(1.0 / report.purity, rel=1e-12)
         assert abs(sum(report.lambda_sq_head) - 1.0) < 0.05  # head carries nearly all weight
         assert report.norm_gated <= report.norm_reference * (1.0 + 1e-9)
+
+    def test_lattice_bounded_before_allocation(self):
+        # n = 2 ceil(16 min(T/2, 5 (1 + 1/gamma_hat)) - 1/2) = 16160 here: a
+        # 2.1 GB value matrix, refused from the estimate alone.
+        point = DesignPoint(t_hat=1e4, gamma_hat=0.01)
+        assert midpoint_grid(min(5e3, 5.0 * 101.0), 1.0 / 16.0).n_points == 16160
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="16160"):
+            evaluate_design(point)
+        with pytest.raises(ParameterError, match="exceeds the cap"):
+            evaluate_design(DesignPoint(t_hat=1e9, gamma_hat=1.0), include_gates=False)
+        assert time.perf_counter() - start < 1.0
+        largest_gated = mi._lattice(DesignPoint(t_hat=12.0, gamma_hat=0.1)).n_points
+        assert largest_gated == 192 <= mi.MAX_LATTICE_POINTS // 16
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ParameterError):
@@ -192,14 +267,16 @@ class TestSweep:
         assert (emap.gamma_opt >= 0.1).all() and (emap.gamma_opt <= 2.0).all()
 
     def test_failures_isolated_per_cell(self, monkeypatch):
-        real = mi.read_in_efficiency
+        real = mi._evaluate_batch
+        failing_batches = []
 
-        def flaky(point, **kwargs):
-            if abs(point.gamma_hat - 0.1) < 1e-9 and abs(point.t_hat - 2.0) < 1e-9:
+        def flaky(points, *args, **kwargs):
+            if any(abs(p.gamma_hat - 0.1) < 1e-9 and abs(p.t_hat - 2.0) < 1e-9 for p in points):
+                failing_batches.append(points)
                 raise ParameterError("synthetic failure")
-            return real(point, **kwargs)
+            return real(points, *args, **kwargs)
 
-        monkeypatch.setattr(mi, "read_in_efficiency", flaky)
+        monkeypatch.setattr(mi, "_evaluate_batch", flaky)
         emap = sweep_design_space((2.0, 4.0), (0.1, 1.0), (2, 3))
         assert math.isnan(emap.eta_in[0, 0])
         assert np.isfinite(emap.eta_in).sum() == 5
@@ -207,6 +284,12 @@ class TestSweep:
         t_fail, g_fail, message = emap.failures[0]
         assert (t_fail, g_fail) == (2.0, 0.1)
         assert "synthetic failure" in message
+        # The rest of the failing batch is evaluated cell by cell.
+        others = [p for p in failing_batches[0] if p.gamma_hat != 0.1]
+        assert others
+        for point in others:
+            col = int(np.flatnonzero(emap.gamma_values == point.gamma_hat)[0])
+            assert emap.eta_in[0, col] == read_in_efficiency(point)
 
     def test_single_cell_sweep(self):
         emap = sweep_design_space((3.0, 3.0), (0.9, 0.9), (1, 1))
@@ -216,10 +299,34 @@ class TestSweep:
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         monkeypatch.delenv(mi.ENV_THREADS, raising=False)
-        serial = sweep_design_space((2.0, 6.0), (0.3, 1.5), (2, 4), workers=1)
-        threaded = sweep_design_space((2.0, 6.0), (0.3, 1.5), (2, 4), workers=3)
-        assert np.array_equal(serial.eta_in, threaded.eta_in)
-        assert np.array_equal(serial.gamma_opt, threaded.gamma_opt)
+        for rect in (((2.0, 6.0), (0.3, 1.5), (2, 4)), MIXED_LATTICE_RECT):
+            serial = sweep_design_space(*rect, workers=1)
+            threaded = sweep_design_space(*rect, workers=3)
+            assert np.array_equal(serial.eta_in, threaded.eta_in)
+            assert np.array_equal(serial.gamma_opt, threaded.gamma_opt)
+
+    def test_cells_match_single_point_evaluation(self):
+        # Rows of this rectangle hold cells on several lattice sizes.
+        emap = sweep_design_space(*MIXED_LATTICE_RECT)
+        sizes = [
+            {midpoint_grid(min(0.5 * t, 5.0 * (1.0 + 1.0 / g)), 1.0 / 16.0).n_points for g in emap.gamma_values}
+            for t in emap.t_values
+        ]
+        assert min(len(s) for s in sizes) >= 3 and max(len(s) for s in sizes) == 9
+        assert emap.failures == ()
+        for row, t_hat in enumerate(emap.t_values):
+            for col, gamma_hat in enumerate(emap.gamma_values):
+                expected = read_in_efficiency(DesignPoint(float(t_hat), float(gamma_hat)))
+                assert abs(emap.eta_in[row, col] - expected) <= 1e-14
+
+    def test_cell_over_lattice_cap_is_a_failure(self):
+        emap = sweep_design_space((1e4, 1e4), (0.01, 1.0), (1, 2))
+        assert math.isnan(emap.eta_in[0, 0])
+        assert np.isfinite(emap.eta_in[0, 1])
+        assert len(emap.failures) == 1
+        t_fail, g_fail, message = emap.failures[0]
+        assert (t_fail, g_fail) == (1e4, 0.01)
+        assert "16160" in message
 
     def test_env_variable_controls_workers(self, monkeypatch):
         monkeypatch.setenv(mi.ENV_THREADS, "2")
