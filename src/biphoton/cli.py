@@ -124,7 +124,7 @@ def _tool_errors(func):
         except (ParameterError, GridMismatchError, DecompositionError, FitConvergenceError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
-        except (MemoryError, np.linalg.LinAlgError) as exc:
+        except (MemoryError, ValueError, np.linalg.LinAlgError) as exc:
             detail = " ".join(str(exc).split()) or "no detail"
             click.echo(f"error: {type(exc).__name__}: {detail}", err=True)
             sys.exit(4)

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DecompositionError, GridMismatchError, ParameterError
 from .formatting import fmt
 from .joint_amplitude import gated_jta_stack
+from .schmidt import support
 from .signal_model import (
     PulseTrainSpec,
     TimeGateSpec,
@@ -142,17 +143,19 @@ def _schmidt_weights(values: np.ndarray, step: float) -> np.ndarray:
     The weights are the eigenvalues of J^H J, the squared singular values
     of J, clipped at zero (the Gram matrix puts round-off of order
     eps * lambda_1 on the vanishing ones) and scaled by the cell area
-    ``step**2``.
+    ``step**2``.  J^H J is formed on the `support` block of the stack, and
+    each row of weights is padded with zeros to ``n_s`` entries.
     """
-    if np.iscomplexobj(values):
-        gram = values.conj().swapaxes(-1, -2) @ values
-    else:
-        gram = values.swapaxes(-1, -2) @ values
+    rows, cols = support(values)
+    block = values[:, rows, cols]
+    gram = block.conj().swapaxes(-1, -2) @ block
     try:
         eigenvalues = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigenvalue decomposition failed: {exc}") from exc
-    return np.clip(eigenvalues[..., ::-1], 0.0, None) * (step * step)
+    weights = np.zeros((values.shape[0], values.shape[2]))
+    weights[:, : gram.shape[-1]] = np.clip(eigenvalues[..., ::-1], 0.0, None) * (step * step)
+    return weights
 
 
 def _evaluate_batch(

@@ -49,6 +49,25 @@ class SchmidtResult:
             raise ParameterError("normalized Schmidt coefficients must have unit square sum")
 
 
+def support(values: np.ndarray) -> tuple[slice, slice]:
+    """Row and column slices of a value matrix, or of a ``(k, n_i, n_s)`` stack, that hold its norm.
+
+    Leading and trailing rows and columns are dropped while their squared
+    magnitude totals less than eps^2 ||J||_F^2, a quarter of that per edge
+    (eps the float64 machine epsilon, J the whole stack).  By Weyl's
+    inequality no singular value then moves by more than eps ||J||_F,
+    which is inside the backward error of the SVD itself.
+    """
+    stack = values.reshape((-1,) + values.shape[-2:])
+    mass = np.einsum("kij,kij->ij", stack.conj(), stack).real
+    budget = 0.25 * np.finfo(float).eps ** 2 * mass.sum()
+    slices = []
+    for line in (mass.sum(axis=1), mass.sum(axis=0)):
+        head, tail = np.cumsum(line), np.cumsum(line[::-1])
+        slices.append(slice(int(np.searchsorted(head, budget)), line.size - int(np.searchsorted(tail, budget))))
+    return slices[0], slices[1]
+
+
 def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     """Decompose a joint amplitude into its Schmidt modes.
 
@@ -59,6 +78,10 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     k_max:
         Number of mode functions to keep.  The Schmidt spectrum itself is
         always computed in full, so ``purity`` never depends on ``k_max``.
+
+    The SVD runs on the `support` block of the values.  The spectrum is
+    padded with zeros to ``min(n_i, n_s)`` coefficients; at most
+    ``min(k_max, min(block.shape))`` modes are kept, zero outside the block.
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
@@ -70,19 +93,23 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
 
     dx_i = jta.axis_i.step
     dx_s = jta.axis_s.step
-    weighted = values * math.sqrt(dx_i * dx_s)
+    rows, cols = support(values)
+    weighted = values[rows, cols] * math.sqrt(dx_i * dx_s)
     try:
         u, s, vh = np.linalg.svd(weighted, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
 
     scale = math.sqrt(float((s**2).sum()))
-    coeffs = s / scale
+    coeffs = np.zeros(min(values.shape))
+    coeffs[: s.size] = s / scale
     purity = float((coeffs**4).sum())
 
-    k = min(k_max, coeffs.size)
-    signal = np.array(vh[:k]) / math.sqrt(dx_s)
-    idler = np.array(u[:, :k].T) / math.sqrt(dx_i)
+    k = min(k_max, s.size)
+    signal = np.zeros((k, values.shape[1]), dtype=vh.dtype)
+    signal[:, cols] = vh[:k] / math.sqrt(dx_s)
+    idler = np.zeros((k, values.shape[0]), dtype=u.dtype)
+    idler[:, rows] = u[:, :k].T / math.sqrt(dx_i)
     for mode in range(k):
         top = np.argmax(np.abs(signal[mode]))
         pivot = signal[mode][top]

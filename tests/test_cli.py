@@ -109,7 +109,12 @@ class TestEfficiencyCommand:
 
     @pytest.mark.parametrize(
         "error",
-        [MemoryError("cannot allocate the lattice"), MemoryError(), np.linalg.LinAlgError("Eigenvalues did not converge")],
+        [
+            MemoryError("cannot allocate the lattice"),
+            MemoryError(),
+            np.linalg.LinAlgError("Eigenvalues did not converge"),
+            ValueError("operands could not be broadcast together with shapes (3,) (4,)"),
+        ],
     )
     def test_memory_and_linalg_errors_are_numerical_errors(self, runner, monkeypatch, error):
         def failing(*args, **kwargs):

@@ -17,7 +17,7 @@ from biphoton.memory_interface import (
     total_memory_efficiency,
     write_efficiency_map_csv,
 )
-from biphoton.schmidt import schmidt_decompose
+from biphoton.schmidt import schmidt_decompose, support
 from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid
 
 
@@ -215,6 +215,22 @@ class TestReadInEfficiency:
         head = np.array(report.lambda_sq_head)
         assert head.size == oracle["lambda_sq_head"].size
         assert np.abs(head - oracle["lambda_sq_head"]).max() <= 1e-12
+
+    def test_trimmed_no_gates_block_matches_svd_oracle(self):
+        # Without gates the lattice spans the filter tails of the whole train,
+        # while the signal axis holds only the pump pulses: the Gram matrix is
+        # formed on fewer columns than the lattice has.
+        point = DesignPoint(t_hat=4.0, gamma_hat=0.5, n_side_pulses=1)
+        _, values, _ = mi._evaluate_batch([point], include_gates=False)
+        _, cols = support(values)
+        assert cols.stop - cols.start < values.shape[2]
+
+        report = evaluate_design(point, include_gates=False)
+        oracle = svd_report(point, include_gates=False)
+        assert abs(report.eta_in - oracle["eta_in"]) <= 1e-12
+        assert abs(report.purity - oracle["purity"]) <= 1e-12
+        assert abs(report.gating_loss - oracle["gating_loss"]) <= 1e-12
+        assert np.abs(np.array(report.lambda_sq_head) - oracle["lambda_sq_head"]).max() <= 1e-12
 
     def test_report_consistency(self):
         report = evaluate_design(DesignPoint(t_hat=3.0, gamma_hat=0.9))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton.errors import DegenerateModeWarning, ParameterError
 from biphoton.joint_amplitude import JointAmplitude, assemble_gated_jta, to_frequency_domain
@@ -10,6 +12,7 @@ from biphoton.schmidt import (
     purity_of,
     schmidt_decompose,
     schmidt_result_to_dict,
+    support,
     write_modes_csv,
 )
 from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGrid
@@ -28,6 +31,25 @@ def double_gaussian_jta(gamma_hat, points_per_sigma=16):
     n = int(math.ceil(2 * half * points_per_sigma)) + 1
     grid = TimeGrid(n, -half, half)
     return assemble_gated_jta(train, filt, None, grid, grid)
+
+
+def padded_single_pulse_jta(sigma_p, gamma_hat, padding, points_per_sigma=8):
+    # Single-pulse filtered amplitude on a lattice `padding` times as wide as
+    # the pump and filter supports; the signal axis holds the pump only.
+    train = PulseTrainSpec(sigma_p=sigma_p, period=10.0 * sigma_p, n_side_pulses=0)
+    filt = GaussianFilterSpec(gamma=gamma_hat / sigma_p)
+    half = padding * 5.0 * (sigma_p + sigma_p / gamma_hat)
+    n = int(math.ceil(2 * half * points_per_sigma / sigma_p)) + 1
+    grid = TimeGrid(n, -half, half)
+    return assemble_gated_jta(train, filt, None, grid, grid)
+
+
+def full_svd_oracle(jta, k_max):
+    # The decomposition of the whole lattice, with no support trim.
+    dx_i, dx_s = jta.axis_i.step, jta.axis_s.step
+    u, s, vh = np.linalg.svd(jta.values * math.sqrt(dx_i * dx_s), full_matrices=False)
+    coeffs = s / math.sqrt(float((s**2).sum()))
+    return coeffs, vh[:k_max] / math.sqrt(dx_s), u[:, :k_max].T / math.sqrt(dx_i)
 
 
 def unit_grid_jta(values):
@@ -153,6 +175,64 @@ class TestModes:
         overlap = float((np.abs(projected) ** 2).sum() * dt_i)
         ratio = overlap / jta.norm_squared
         assert ratio == pytest.approx(float(result.singular_values[0]) ** 2, rel=1e-10)
+
+
+class TestSupportTrim:
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        sigma_p=st.floats(0.5, 2.0),
+        gamma_hat=st.floats(0.3, 3.0),
+        padding=st.floats(1.0, 1.5),
+    )
+    @example(sigma_p=1.0, gamma_hat=0.3, padding=1.0)
+    @example(sigma_p=0.5, gamma_hat=3.0, padding=1.5)
+    def test_matches_full_svd(self, sigma_p, gamma_hat, padding):
+        jta = padded_single_pulse_jta(sigma_p, gamma_hat, padding)
+        result = schmidt_decompose(jta, k_max=8)
+        coeffs, signal, idler = full_svd_oracle(jta, k_max=8)
+
+        assert abs(float((result.singular_values**2).sum()) - 1.0) <= 1e-12
+        assert 0.0 < result.purity <= 1.0
+        assert abs(result.purity - closed_form_purity(gamma_hat)) <= 1e-3
+        assert result.singular_values.shape == coeffs.shape
+        assert np.abs(result.singular_values - coeffs).max() <= 1e-13
+        assert abs(result.tail_mass - float((coeffs[8:] ** 2).sum())) <= 1e-13
+        for k in np.flatnonzero(coeffs[:8] ** 2 >= 1e-6):
+            sign = 1.0 if np.vdot(signal[k], result.signal_modes[k]).real > 0 else -1.0
+            assert np.abs(result.signal_modes[k] - sign * signal[k]).max() <= 1e-8
+            assert np.abs(result.idler_modes[k] - sign * idler[k]).max() <= 1e-8
+
+    def test_trim_removes_most_signal_columns(self):
+        # The first explicit example above: the SVD sees under half the columns.
+        values = padded_single_pulse_jta(1.0, 0.3, 1.0).values
+        _, cols = support(values)
+        assert 2 * (cols.stop - cols.start) <= values.shape[1]
+
+    def test_zero_border(self):
+        values = np.zeros((8, 8))
+        values[1:5, 3:7] = np.eye(4)
+        jta = unit_grid_jta(values)
+        assert support(values) == (slice(1, 5), slice(3, 7))
+
+        result = schmidt_decompose(jta, k_max=16)
+        assert np.allclose(result.singular_values, [0.5] * 4 + [0.0] * 4, rtol=0.0, atol=1e-15)
+        assert result.tail_mass == 0.0
+        assert schmidt_result_to_dict(result)["n_modes_stored"] == 4
+        assert not result.signal_modes[:, [0, 1, 2, 7]].any()
+        assert not result.idler_modes[:, [0, 5, 6, 7]].any()
+        assert np.allclose(result.signal_modes @ result.signal_modes.T, np.eye(4), atol=1e-12)
+        assert np.allclose(result.idler_modes @ result.idler_modes.T, np.eye(4), atol=1e-12)
+        scale = math.sqrt(jta.norm_squared)
+        rebuilt = np.einsum(
+            "k,ki,ks->is", scale * result.singular_values[:4], result.idler_modes, result.signal_modes
+        )
+        assert np.abs(rebuilt - values).max() <= 1e-12
+
+    def test_stack_trims_its_union(self):
+        stack = np.zeros((2, 6, 6))
+        stack[0, 2, 1] = 1.0
+        stack[1, 4, 3] = 1.0
+        assert support(stack) == (slice(2, 5), slice(1, 4))
 
 
 class TestValidationAndSerialization:
