@@ -71,35 +71,35 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve_config(ctx: click.Context, config_path: str | None, names: tuple[str, ...]) -> dict:
-    """Merge config file values under command-line flags.
+def _resolve_config(ctx: click.Context, required: tuple[str, ...]) -> dict:
+    """Merge ``--config`` file values under command-line flags.
 
+    The config names are the command's options other than ``--config``.
     A file value is converted by its option's own click type, from the
     text the command line would carry for it (JSON ``true`` is the text
     ``true``), so a file accepts and rejects exactly what a flag does.
-    A JSON ``null`` leaves the option at its default.
+    A JSON ``null`` leaves the option at its default.  Every ``required``
+    name must resolve to a value.
     """
+    params = {param.name: param for param in ctx.command.params if param.name != "config_path"}
+    config_path = ctx.params["config_path"]
     file_values = _load_config_file(config_path) if config_path else {}
-    unknown = sorted(set(file_values) - set(names))
+    unknown = sorted(set(file_values) - set(params))
     if unknown:
         raise click.UsageError(f"unknown config keys: {', '.join(unknown)}")
-    params = {param.name: param for param in ctx.command.params}
     resolved = {}
-    for name in names:
+    for name, param in params.items():
         source = ctx.get_parameter_source(name)
         value = file_values.get(name)
         if value is None or source not in (None, ParameterSource.DEFAULT):
             resolved[name] = ctx.params[name]
             continue
         text = value if isinstance(value, str) else json.dumps(value)
-        resolved[name] = params[name].type.convert(text, params[name], ctx)
-    return resolved
-
-
-def _require(resolved: dict, *names: str) -> None:
-    missing = [name for name in names if resolved.get(name) is None]
+        resolved[name] = param.type.convert(text, param, ctx)
+    missing = [name for name in required if resolved[name] is None]
     if missing:
         raise click.UsageError("missing required parameter(s): " + ", ".join(missing))
+    return resolved
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -137,7 +137,34 @@ def main() -> None:
     """Design and analysis tools for pulsed heralded single-photon sources."""
 
 
-@main.command()
+def _command(name: str, *required: str, json_output: str = "output"):
+    """Register ``body(cfg) -> results`` as the ``biphoton`` command ``name``.
+
+    The command gains ``--config`` (see `_resolve_config`) and the exit
+    codes of `_tool_errors`.  Its JSON, written to the ``json_output``
+    option or stdout, holds ``schema``, ``command``, the resolved
+    ``config`` without the output paths (options named ``output*``) and
+    the results.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(ctx: click.Context, **_: object) -> None:
+            cfg = _resolve_config(ctx, required)
+            results = body(cfg)
+            config = {key: value for key, value in cfg.items() if not key.startswith("output")}
+            _emit_json({"schema": SCHEMA_VERSION, "command": name, "config": config, **results}, cfg[json_output])
+
+        command = main.command(name=name)(click.pass_context(_tool_errors(run)))
+        command.params.append(
+            click.Option(["--config", "config_path"], type=click.Path(dir_okay=False), help="JSON config file.")
+        )
+        return command
+
+    return register
+
+
+@_command("efficiency", "t_hat", "gamma_hat")
 @click.option("--t-hat", type=float, default=None, help="Gate/period in units of sigma_p.")
 @click.option("--gamma-hat", type=float, default=None, help="Filter constant times sigma_p.")
 @click.option("--side-pulses", type=int, default=3, show_default=True, help="Train truncation M.")
@@ -151,15 +178,8 @@ def main() -> None:
 )
 @click.option("--gates/--no-gates", "use_gates", default=True, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON output path (stdout when omitted).")
-@click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None, help="JSON config file.")
-@click.pass_context
-@_tool_errors
-def efficiency(ctx: click.Context, **_: object) -> None:
+def efficiency(cfg: dict) -> dict:
     """Read-in efficiency and mode structure at one design point."""
-    names = ("t_hat", "gamma_hat", "side_pulses", "points_per_sigma", "kernel", "use_gates", "output")
-    cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _require(cfg, "t_hat", "gamma_hat")
-
     point = DesignPoint(
         t_hat=cfg["t_hat"],
         gamma_hat=cfg["gamma_hat"],
@@ -167,10 +187,7 @@ def efficiency(ctx: click.Context, **_: object) -> None:
         points_per_sigma=cfg["points_per_sigma"],
     )
     report = evaluate_design(point, include_gates=cfg["use_gates"], kernel=cfg["kernel"])
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "efficiency",
-        "config": {key: cfg[key] for key in names if key != "output"},
+    return {
         "eta_in": report.eta_in,
         "purity": report.purity,
         "schmidt_number": report.schmidt_number,
@@ -180,10 +197,9 @@ def efficiency(ctx: click.Context, **_: object) -> None:
         "norm_gated": report.norm_gated,
         "norm_reference": report.norm_reference,
     }
-    _emit_json(payload, cfg["output"])
 
 
-@main.command()
+@_command("sweep", "t_min", "t_max", "gamma_min", "gamma_max", json_output="output_json")
 @click.option("--t-min", type=float, default=None)
 @click.option("--t-max", type=float, default=None)
 @click.option("--t-steps", type=int, default=32, show_default=True)
@@ -194,10 +210,7 @@ def efficiency(ctx: click.Context, **_: object) -> None:
 @click.option("--points-per-sigma", type=int, default=16, show_default=True)
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Cell-by-cell efficiency CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
-@click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None, help="JSON config file.")
-@click.pass_context
-@_tool_errors
-def sweep(ctx: click.Context, **_: object) -> None:
+def sweep(cfg: dict) -> dict:
     """Sweep the design rectangle and report per-row optima.
 
     Cells of a row that share a lattice are evaluated in batches, one
@@ -205,14 +218,6 @@ def sweep(ctx: click.Context, **_: object) -> None:
     BIPHOTON_THREADS environment variable (0 or unset: one thread per
     CPU); results do not depend on the thread count.
     """
-    names = (
-        "t_min", "t_max", "t_steps",
-        "gamma_min", "gamma_max", "gamma_steps",
-        "side_pulses", "points_per_sigma", "output_csv", "output_json",
-    )
-    cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _require(cfg, "t_min", "t_max", "gamma_min", "gamma_max")
-
     emap = sweep_design_space(
         (cfg["t_min"], cfg["t_max"]),
         (cfg["gamma_min"], cfg["gamma_max"]),
@@ -222,31 +227,18 @@ def sweep(ctx: click.Context, **_: object) -> None:
     )
     if cfg["output_csv"] is not None:
         write_efficiency_map_csv(emap, cfg["output_csv"])
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "sweep",
-        "config": {key: cfg[key] for key in names if key not in ("output_csv", "output_json")},
-        **efficiency_map_summary(emap),
-    }
-    _emit_json(payload, cfg["output_json"])
+    return efficiency_map_summary(emap)
 
 
-@main.command()
+@_command("spectrum", "pump_fwhm_ghz", "filter_fwhm_ghz", json_output="output_json")
 @click.option("--pump-fwhm-ghz", type=float, default=None, help="Pump intensity-spectrum FWHM.")
 @click.option("--filter-fwhm-ghz", type=float, default=None, help="Idler filter amplitude FWHM.")
 @click.option("--filter-center-ghz", type=float, default=0.0, show_default=True)
 @click.option("--points", type=click.IntRange(min=16), default=2049, show_default=True, help="Frequency axis length.")
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Spectrum curve CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
-@click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None, help="JSON config file.")
-@click.pass_context
-@_tool_errors
-def spectrum(ctx: click.Context, **_: object) -> None:
+def spectrum(cfg: dict) -> dict:
     """Marginal spectrum of the heralded signal photon."""
-    names = ("pump_fwhm_ghz", "filter_fwhm_ghz", "filter_center_ghz", "points", "output_csv", "output_json")
-    cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _require(cfg, "pump_fwhm_ghz", "filter_fwhm_ghz")
-
     quadrature = quadrature_marginal_fwhm(cfg["pump_fwhm_ghz"], cfg["filter_fwhm_ghz"])
     center = -cfg["filter_center_ghz"]
     half = 4.0 * quadrature
@@ -259,32 +251,21 @@ def spectrum(ctx: click.Context, **_: object) -> None:
     )
     if cfg["output_csv"] is not None:
         write_marginal_spectrum_csv(result, cfg["output_csv"])
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "spectrum",
-        "config": {key: cfg[key] for key in names if key not in ("output_csv", "output_json")},
+    return {
         "fwhm_GHz": result.fwhm,
         "quadrature_fwhm_GHz": quadrature,
         "peak_frequency_GHz": float(result.frequencies[int(np.argmax(result.intensity))]),
     }
-    _emit_json(payload, cfg["output_json"])
 
 
-@main.command()
+@_command("analyze", "counts_csv", "transmission", "detector_efficiency")
 @click.option("--counts-csv", type=click.Path(dir_okay=False), default=None, help="Input count records.")
 @click.option("--transmission", type=float, default=None, help="Heralding path transmission T_s.")
 @click.option("--transmission-err", type=float, default=0.0, show_default=True)
 @click.option("--detector-efficiency", type=float, default=None, help="Trigger detector efficiency.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON output path (stdout when omitted).")
-@click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None, help="JSON config file.")
-@click.pass_context
-@_tool_errors
-def analyze(ctx: click.Context, **_: object) -> None:
+def analyze(cfg: dict) -> dict:
     """Reduce count records to heralding efficiencies, g2 and rate fits."""
-    names = ("counts_csv", "transmission", "transmission_err", "detector_efficiency", "output")
-    cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _require(cfg, "counts_csv", "transmission", "detector_efficiency")
-
     path = OpticalPath(
         transmission=cfg["transmission"],
         detector_efficiency=cfg["detector_efficiency"],
@@ -345,10 +326,7 @@ def analyze(ctx: click.Context, **_: object) -> None:
                 "residual_rms": float(np.sqrt(np.mean(fit.residuals**2))),
             }
 
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "analyze",
-        "config": {key: cfg[key] for key in names if key != "output"},
+    return {
         "records": rows,
         "aggregate": {
             "eta_her": eta_mean,
@@ -359,10 +337,9 @@ def analyze(ctx: click.Context, **_: object) -> None:
         "fits": fits,
         "skipped_rows": issues,
     }
-    _emit_json(payload, cfg["output"])
 
 
-@main.command(name="fit-spectrum")
+@_command("fit-spectrum", "sweep_csv", "filter_fwhm_ghz")
 @click.option("--sweep-csv", type=click.Path(dir_okay=False), default=None, help="Detuning sweep CSV.")
 @click.option("--filter-fwhm-ghz", type=float, default=None, help="Scanning filter amplitude FWHM.")
 @click.option(
@@ -373,22 +350,12 @@ def analyze(ctx: click.Context, **_: object) -> None:
     help="Whether the sweep is normalized against the intensity or amplitude line.",
 )
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON output path (stdout when omitted).")
-@click.option("--config", "config_path", type=click.Path(dir_okay=False), default=None, help="JSON config file.")
-@click.pass_context
-@_tool_errors
-def fit_spectrum(ctx: click.Context, **_: object) -> None:
+def fit_spectrum(cfg: dict) -> dict:
     """Fit the heralded-photon bandwidth from a filter-detuning sweep."""
-    names = ("sweep_csv", "filter_fwhm_ghz", "transmission_model", "output")
-    cfg = _resolve_config(ctx, ctx.params["config_path"], names)
-    _require(cfg, "sweep_csv", "filter_fwhm_ghz")
-
     points = read_sweep_csv(cfg["sweep_csv"])
     filt = GaussianFilterSpec.from_amplitude_fwhm(cfg["filter_fwhm_ghz"])
     fit = fit_hsp_bandwidth(points, filt, transmission=cfg["transmission_model"])
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "fit-spectrum",
-        "config": {key: cfg[key] for key in names if key != "output"},
+    return {
         "delta_t_ns": fit.delta_t_ns,
         "delta_t_err_ns": fit.delta_t_err_ns,
         "delta_nu_GHz": fit.delta_nu_ghz,
@@ -399,7 +366,6 @@ def fit_spectrum(ctx: click.Context, **_: object) -> None:
         "residual_rms": float(np.sqrt(np.mean(fit.residuals**2))),
         "n_points": len(points),
     }
-    _emit_json(payload, cfg["output"])
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .errors import FitConvergenceError, ParameterError
+from .formatting import write_csv
 from .signal_model import GaussianFilterSpec, SQRT_LN2
 
 # Narrowest photon bandwidth the sweep fit resolves, as a fraction of the
@@ -454,9 +455,8 @@ def read_sweep_csv(path: str) -> list[SweepPoint]:
 
 def write_sweep_csv(points: Sequence[SweepPoint], path: str) -> None:
     """Write a detuning sweep in the canonical CSV layout."""
-    from .formatting import fmt
-
-    with open(path, "w", newline="") as handle:
-        handle.write("detuning_GHz,normalized_coincidences\n")
-        for point in points:
-            handle.write(f"{fmt(point.detuning_ghz)},{fmt(point.normalized_rate)}\n")
+    write_csv(
+        path,
+        ["detuning_GHz", "normalized_coincidences"],
+        ((point.detuning_ghz, point.normalized_rate) for point in points),
+    )

@@ -3,13 +3,14 @@
 All floating point values written by the toolkit are rounded to nine
 significant digits.  This keeps repeated runs byte-identical across
 platforms while staying well below the numerical tolerances of any
-quantity the toolkit reports.
+quantity the toolkit reports.  Every CSV artifact is written by
+`write_csv`, with LF line endings.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -19,6 +20,14 @@ SIGNIFICANT_DIGITS = 9
 def fmt(value: float) -> str:
     """Render a float with nine significant digits (CSV cell format)."""
     return f"{float(value):.{SIGNIFICANT_DIGITS}g}"
+
+
+def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable[float]]) -> None:
+    """Write a CSV file: the header, then one line of `fmt` cells per row, LF line endings."""
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(map(fmt, row)) + "\n")
 
 
 def sig9(value: float) -> float:

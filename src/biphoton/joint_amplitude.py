@@ -13,14 +13,13 @@ matrix run over the idler axis, columns over the signal axis.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .formatting import fmt
+from .formatting import write_csv
 from .signal_model import (
     FrequencyGrid,
     GaussianFilterSpec,
@@ -143,7 +142,9 @@ def to_frequency_domain(jta: JointAmplitude) -> JointAmplitude:
     # fft2 assumes samples starting at t = 0; shift to the actual origins.
     phase_i = np.exp(-2j * np.pi * nu_i * jta.axis_i.t_min)
     phase_s = np.exp(-2j * np.pi * nu_s * jta.axis_s.t_min)
-    transformed = transformed * phase_i[:, None] * phase_s[None, :] * (dt_i * dt_s)
+    transformed *= phase_i[:, None]
+    transformed *= phase_s
+    transformed *= dt_i * dt_s
 
     transformed = np.fft.fftshift(transformed)
     nu_i = np.fft.fftshift(nu_i)
@@ -242,26 +243,13 @@ def gating_loss(gated: JointAmplitude, reference: JointAmplitude) -> float:
 
 def write_joint_amplitude_csv(jta: JointAmplitude, path: str) -> None:
     """Write the sampled amplitude as CSV rows (axis_i, axis_s, re, im)."""
-    if jta.domain == TIME_DOMAIN:
-        header = ["t_i", "t_s", "re", "im"]
-    else:
-        header = ["nu_i", "nu_s", "re", "im"]
-    x_i = jta.axis_i.points
-    x_s = jta.axis_s.points
-    values = np.asarray(jta.values, dtype=complex)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row, xi in enumerate(x_i):
-            for col, xs in enumerate(x_s):
-                val = values[row, col]
-                writer.writerow([fmt(xi), fmt(xs), fmt(val.real), fmt(val.imag)])
+    prefix = "t" if jta.domain == TIME_DOMAIN else "nu"
+    x_i, x_s = np.meshgrid(jta.axis_i.points, jta.axis_s.points, indexing="ij")
+    values = np.asarray(jta.values, dtype=complex).ravel()
+    rows = np.column_stack([x_i.ravel(), x_s.ravel(), values.real, values.imag])
+    write_csv(path, [f"{prefix}_i", f"{prefix}_s", "re", "im"], rows)
 
 
 def write_marginal_spectrum_csv(spectrum: MarginalSpectrum, path: str) -> None:
     """Write a marginal spectrum as CSV rows (frequency, intensity)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["frequency_GHz", "intensity"])
-        for nu, val in zip(spectrum.frequencies, spectrum.intensity):
-            writer.writerow([fmt(nu), fmt(val)])
+    write_csv(path, ["frequency_GHz", "intensity"], zip(spectrum.frequencies, spectrum.intensity))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecompositionError, GridMismatchError, ParameterError
-from .formatting import fmt
+from .formatting import write_csv
 from .joint_amplitude import gated_jta_stack
 from .schmidt import support
 from .signal_model import (
@@ -475,11 +475,9 @@ def total_memory_efficiency(eta_in: float, eta_ret: float) -> float:
 
 def write_efficiency_map_csv(emap: EfficiencyMap, path: str) -> None:
     """Write the sweep as CSV rows (t_hat, gamma_hat, eta_in) in row-major order."""
-    with open(path, "w", newline="") as handle:
-        handle.write("t_hat,gamma_hat,eta_in\n")
-        for row, t_hat in enumerate(emap.t_values):
-            for col, gamma_hat in enumerate(emap.gamma_values):
-                handle.write(f"{fmt(t_hat)},{fmt(gamma_hat)},{fmt(emap.eta_in[row, col])}\n")
+    t_hat, gamma_hat = np.meshgrid(emap.t_values, emap.gamma_values, indexing="ij")
+    rows = np.column_stack([t_hat.ravel(), gamma_hat.ravel(), emap.eta_in.ravel()])
+    write_csv(path, ["t_hat", "gamma_hat", "eta_in"], rows)
 
 
 def efficiency_map_summary(emap: EfficiencyMap) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, DegenerateModeWarning, ParameterError
-from .formatting import fmt
+from .formatting import write_csv
 from .joint_amplitude import JointAmplitude
 from .signal_model import TimeGrid
 
@@ -60,9 +60,10 @@ def support(values: np.ndarray) -> tuple[slice, slice]:
     """
     stack = values.reshape((-1,) + values.shape[-2:])
     mass = np.einsum("kij,kij->ij", stack.conj(), stack).real
-    budget = 0.25 * np.finfo(float).eps ** 2 * mass.sum()
+    row_mass = mass.sum(axis=1)
+    budget = 0.25 * np.finfo(float).eps ** 2 * row_mass.sum()
     slices = []
-    for line in (mass.sum(axis=1), mass.sum(axis=0)):
+    for line in (row_mass, mass.sum(axis=0)):
         head, tail = np.cumsum(line), np.cumsum(line[::-1])
         slices.append(slice(int(np.searchsorted(head, budget)), line.size - int(np.searchsorted(tail, budget))))
     return slices[0], slices[1]
@@ -170,16 +171,7 @@ def schmidt_result_to_dict(result: SchmidtResult, n_values: int | None = None) -
 def write_modes_csv(result: SchmidtResult, path: str, n_modes: int | None = None) -> None:
     """Write the signal-side mode functions as CSV columns."""
     k = result.signal_modes.shape[0] if n_modes is None else min(n_modes, result.signal_modes.shape[0])
-    axis = result.axis_s.points
-    header = ["t_s"]
-    for mode in range(k):
-        header.extend([f"mode{mode}_re", f"mode{mode}_im"])
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        modes = np.asarray(result.signal_modes[:k], dtype=complex)
-        for col, t in enumerate(axis):
-            cells = [fmt(t)]
-            for mode in range(k):
-                cells.append(fmt(modes[mode, col].real))
-                cells.append(fmt(modes[mode, col].imag))
-            handle.write(",".join(cells) + "\n")
+    modes = np.asarray(result.signal_modes[:k], dtype=complex)
+    header = ["t_s"] + [f"mode{mode}_{part}" for mode in range(k) for part in ("re", "im")]
+    rows = np.column_stack([result.axis_s.points] + [part for mode in modes for part in (mode.real, mode.imag)])
+    write_csv(path, header, rows)

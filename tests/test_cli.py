@@ -13,7 +13,11 @@ from test_counting import convolved_line
 
 import biphoton.cli as cli
 from biphoton.cli import main
+from biphoton.counting import SweepPoint, write_sweep_csv
+from biphoton.joint_amplitude import JointAmplitude, write_joint_amplitude_csv
 from biphoton.memory_interface import DesignPoint, read_in_efficiency
+from biphoton.schmidt import schmidt_decompose, write_modes_csv
+from biphoton.signal_model import TimeGrid
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -311,3 +315,42 @@ def test_help_screens(runner):
     for command in ("efficiency", "sweep", "spectrum", "analyze", "fit-spectrum"):
         result = runner.invoke(main, [command, "--help"])
         assert result.exit_code == 0, command
+
+
+def command_args(tmp_path):
+    # One successful invocation of each command.
+    counts = tmp_path / "counts.csv"
+    counts.write_text(COUNTS_BODY)
+    sweep_path = tmp_path / "sweep.csv"
+    TestFitSpectrumCommand().write_sweep(sweep_path)
+    return {
+        "efficiency": ["efficiency", "--t-hat", "3", "--gamma-hat", "0.9"],
+        "sweep": TestSweepCommand.ARGS,
+        "spectrum": ["spectrum", "--pump-fwhm-ghz", "1.3", "--filter-fwhm-ghz", "1.4"],
+        "analyze": TestAnalyzeCommand().analyze_args(counts),
+        "fit-spectrum": ["fit-spectrum", "--sweep-csv", str(sweep_path), "--filter-fwhm-ghz", "1.1"],
+    }
+
+
+@pytest.mark.parametrize("command", ["efficiency", "sweep", "spectrum", "analyze", "fit-spectrum"])
+def test_config_echoes_every_option(runner, tmp_path, command):
+    payload = run_json(runner, command_args(tmp_path)[command])
+    options = {param.name for param in main.commands[command].params}
+    assert payload["schema"] == "1" and payload["command"] == command
+    assert set(payload["config"]) == options - {"config_path", "output", "output_csv", "output_json"}
+
+
+def test_csv_artifacts_end_lines_with_lf(runner, tmp_path):
+    spectrum_csv = tmp_path / "spectrum.csv"
+    map_csv = tmp_path / "map.csv"
+    args = command_args(tmp_path)
+    assert runner.invoke(main, args["spectrum"] + ["--output-csv", str(spectrum_csv)]).exit_code == 0
+    assert runner.invoke(main, args["sweep"] + ["--output-csv", str(map_csv)]).exit_code == 0
+    grid = TimeGrid(4, -1.0, 1.0)
+    jta = JointAmplitude(np.outer([1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 3.0, 2.0]), grid, grid)
+    write_joint_amplitude_csv(jta, str(tmp_path / "jta.csv"))
+    write_modes_csv(schmidt_decompose(jta, k_max=1), str(tmp_path / "modes.csv"))
+    write_sweep_csv([SweepPoint(-1.0, 0.5), SweepPoint(0.0, 1.0)], str(tmp_path / "sweep-out.csv"))
+    for name in ("spectrum.csv", "map.csv", "jta.csv", "modes.csv", "sweep-out.csv"):
+        data = (tmp_path / name).read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, name

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +51,14 @@ def full_svd_oracle(jta, k_max):
     u, s, vh = np.linalg.svd(jta.values * math.sqrt(dx_i * dx_s), full_matrices=False)
     coeffs = s / math.sqrt(float((s**2).sum()))
     return coeffs, vh[:k_max] / math.sqrt(dx_s), u[:, :k_max].T / math.sqrt(dx_i)
+
+
+def hermite_gauss(k, a, t):
+    # Unit-norm H_k(sqrt(2a) t) exp(-a t^2), H_k the physicists' Hermite polynomial.
+    coeffs = np.zeros(k + 1)
+    coeffs[k] = 1.0
+    norm = (2.0 * a / math.pi) ** 0.25 / math.sqrt(2.0**k * math.factorial(k))
+    return norm * hermval(math.sqrt(2.0 * a) * t, coeffs) * np.exp(-a * t * t)
 
 
 def unit_grid_jta(values):
@@ -151,6 +160,31 @@ class TestModes:
         b = schmidt_decompose(flipped, k_max=2)
         assert np.allclose(a.signal_modes, b.signal_modes, atol=1e-10)
         assert np.allclose(a.idler_modes, -b.idler_modes, atol=1e-10)
+
+    @pytest.mark.parametrize("gamma_hat", [0.5, 1.0, 2.0])
+    def test_modes_match_hermite_gauss_closed_form(self, gamma_hat):
+        # exp(-gamma_hat^2 (t_i - t_s)^2 - t_s^2) has the Mehler expansion
+        # sum_k lambda_k zeta_k(t_i) xi_k(t_s) with Hermite-Gauss modes of
+        # exponents alpha = sqrt(1 + gamma_hat^2) (signal) and
+        # kappa = gamma_hat^2 / alpha (idler), and lambda_k^2 = (1 - mu^2) mu^(2k)
+        # with mu^2 = (alpha - 1) / (alpha + 1).  Midpoint lattice, step 1/32.
+        step = 1.0 / 32.0
+        count = math.ceil(5.0 * (1.0 + 1.0 / gamma_hat) / step - 0.5)
+        edge = (count - 0.5) * step
+        grid = TimeGrid(2 * count, -edge, edge)
+        train = PulseTrainSpec(sigma_p=1.0, period=10.0, n_side_pulses=0)
+        jta = assemble_gated_jta(train, GaussianFilterSpec(gamma=gamma_hat), None, grid, grid)
+        result = schmidt_decompose(jta, k_max=4)
+        alpha = math.sqrt(1.0 + gamma_hat**2)
+        kappa = gamma_hat**2 / alpha
+        mu_sq = (alpha - 1.0) / (alpha + 1.0)
+        t = grid.points
+        for k in range(4):
+            assert result.singular_values[k] ** 2 == pytest.approx((1.0 - mu_sq) * mu_sq**k, abs=1e-14)
+            signal = hermite_gauss(k, alpha, t)
+            sign = np.sign(result.signal_modes[k] @ signal)
+            assert np.abs(result.signal_modes[k] - sign * signal).max() <= 1e-12
+            assert np.abs(result.idler_modes[k] - sign * hermite_gauss(k, kappa, t)).max() <= 1e-12
 
     def test_fundamental_kernel_real_for_real_input(self):
         jta = double_gaussian_jta(0.7615)
