@@ -12,6 +12,7 @@ failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -167,8 +168,8 @@ def _command(name: str, *required: str, json_output: str = "output"):
 @_command("efficiency", "t_hat", "gamma_hat")
 @click.option("--t-hat", type=float, default=None, help="Gate/period in units of sigma_p.")
 @click.option("--gamma-hat", type=float, default=None, help="Filter constant times sigma_p.")
-@click.option("--side-pulses", type=int, default=3, show_default=True, help="Train truncation M.")
-@click.option("--points-per-sigma", type=int, default=16, show_default=True, help="Lattice density.")
+@click.option("--side-pulses", type=click.IntRange(min=0), default=3, show_default=True, help="Train truncation M.")
+@click.option("--points-per-sigma", type=click.IntRange(min=16), default=16, show_default=True, help="Lattice density.")
 @click.option(
     "--kernel",
     type=click.Choice(["gated", "ungated"]),
@@ -180,34 +181,22 @@ def _command(name: str, *required: str, json_output: str = "output"):
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON output path (stdout when omitted).")
 def efficiency(cfg: dict) -> dict:
     """Read-in efficiency and mode structure at one design point."""
-    point = DesignPoint(
-        t_hat=cfg["t_hat"],
-        gamma_hat=cfg["gamma_hat"],
-        n_side_pulses=cfg["side_pulses"],
-        points_per_sigma=cfg["points_per_sigma"],
-    )
-    report = evaluate_design(point, include_gates=cfg["use_gates"], kernel=cfg["kernel"])
-    return {
-        "eta_in": report.eta_in,
-        "purity": report.purity,
-        "schmidt_number": report.schmidt_number,
-        "gating_loss": report.gating_loss,
-        "top_mode_weight": report.top_mode_weight,
-        "lambda_sq_head": list(report.lambda_sq_head),
-        "norm_gated": report.norm_gated,
-        "norm_reference": report.norm_reference,
-    }
+    point = DesignPoint(cfg["t_hat"], cfg["gamma_hat"], cfg["side_pulses"], cfg["points_per_sigma"])
+    inputs = {"point": point, "include_gates": cfg["use_gates"], "kernel": cfg["kernel"]}
+    # The report echoes its inputs, which the config already carries.
+    report = dataclasses.asdict(evaluate_design(**inputs))
+    return {name: value for name, value in report.items() if name not in inputs}
 
 
 @_command("sweep", "t_min", "t_max", "gamma_min", "gamma_max", json_output="output_json")
 @click.option("--t-min", type=float, default=None)
 @click.option("--t-max", type=float, default=None)
-@click.option("--t-steps", type=int, default=32, show_default=True)
+@click.option("--t-steps", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--gamma-min", type=float, default=None)
 @click.option("--gamma-max", type=float, default=None)
-@click.option("--gamma-steps", type=int, default=64, show_default=True)
-@click.option("--side-pulses", type=int, default=3, show_default=True)
-@click.option("--points-per-sigma", type=int, default=16, show_default=True)
+@click.option("--gamma-steps", type=click.IntRange(min=1), default=64, show_default=True)
+@click.option("--side-pulses", type=click.IntRange(min=0), default=3, show_default=True)
+@click.option("--points-per-sigma", type=click.IntRange(min=16), default=16, show_default=True)
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Cell-by-cell efficiency CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
 def sweep(cfg: dict) -> dict:
@@ -273,30 +262,26 @@ def analyze(cfg: dict) -> dict:
     )
     records, issues = read_counts_csv(cfg["counts_csv"])
 
-    rows = []
-    eta_values = []
-    g2_values = []
-    for record in records:
-        eta = heralding_efficiency(record, path)
-        eta_values.append(eta)
-        net = subtract_accidentals(record)
-        row = {
-            "pump_power_mW": record.pump_power_mw,
-            "eta_her": eta.value,
-            "eta_her_err": eta.err,
-            "net_rate": net.value,
-            "net_rate_clipped": net.clipped,
-            "g2": None,
-            "g2_err": None,
-        }
+    def measured(reduction, *args):
+        # Null for a record without triggers (for g2 also without counts in
+        # a port); such a record stays out of the aggregate.
         try:
-            g2 = heralded_g2(record)
+            return reduction(*args)
         except ParameterError:
-            g2 = None
-        if g2 is not None:
-            row["g2"] = g2.value
-            row["g2_err"] = g2.err
-            g2_values.append(g2)
+            return None
+
+    rows, eta_values, g2_values = [], [], []
+    for record in records:
+        net = subtract_accidentals(record)
+        row = {"pump_power_mW": record.pump_power_mw, "net_rate": net.value, "net_rate_clipped": net.clipped}
+        for key, values, result in (
+            ("eta_her", eta_values, measured(heralding_efficiency, record, path)),
+            ("g2", g2_values, measured(heralded_g2, record)),
+        ):
+            row[key] = row[f"{key}_err"] = None
+            if result is not None:
+                row[key], row[f"{key}_err"] = result.value, result.err
+                values.append(result)
         rows.append(row)
 
     def aggregate(values):

@@ -118,9 +118,17 @@ def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
     With gates the amplitude lives on the gate block; outside
     min(T/2, local support) it is zero or below double precision, so
     cropping to it drops only zero rows and columns.  Without gates the
-    lattice spans the whole train.  Raises :class:`ParameterError` with
-    the size estimate when the lattice exceeds ``MAX_LATTICE_POINTS``.
+    lattice spans the whole train.  Raises :class:`ParameterError` when
+    the step 1/points_per_sigma does not resolve the filter response
+    exp(-(gamma_hat t)^2), that is for gamma_hat > points_per_sigma / 2,
+    and, with the size estimate, when the lattice exceeds
+    ``MAX_LATTICE_POINTS``.
     """
+    if point.gamma_hat > 0.5 * point.points_per_sigma:
+        raise ParameterError(
+            f"gamma_hat = {point.gamma_hat:g} exceeds points_per_sigma / 2 = "
+            f"{0.5 * point.points_per_sigma:g}, above which the lattice does not resolve the filter"
+        )
     local = _local_half_width(point.gamma_hat)
     if include_gates:
         half_width = min(0.5 * point.t_hat, local)

@@ -113,17 +113,13 @@ class PulseTrainSpec:
 class GaussianFilterSpec:
     """Gaussian spectral filter with time-domain amplitude response exp(-(gamma t)^2).
 
-    ``gamma`` has units of inverse time; ``center_frequency`` shifts the
-    passband away from the signal/idler reference frequency.
+    ``gamma`` has units of inverse time.
     """
 
     gamma: float
-    center_frequency: float = 0.0
 
     def __post_init__(self) -> None:
         _require_positive("gamma", self.gamma)
-        if not math.isfinite(self.center_frequency):
-            raise ParameterError("center_frequency must be finite")
 
     @property
     def amplitude_fwhm(self) -> float:
@@ -136,8 +132,8 @@ class GaussianFilterSpec:
         return self.amplitude_fwhm / math.sqrt(2.0)
 
     @classmethod
-    def from_amplitude_fwhm(cls, fwhm: float, center_frequency: float = 0.0) -> "GaussianFilterSpec":
-        return cls(gamma=gamma_from_filter_fwhm(fwhm), center_frequency=center_frequency)
+    def from_amplitude_fwhm(cls, fwhm: float) -> "GaussianFilterSpec":
+        return cls(gamma=gamma_from_filter_fwhm(fwhm))
 
 
 @dataclass(frozen=True)

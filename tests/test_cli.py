@@ -100,6 +100,14 @@ class TestEfficiencyCommand:
         gated = run_json(runner, args + ["--kernel", "gated"])
         assert 0.0 < ungated["eta_in"] <= gated["eta_in"]
 
+    @pytest.mark.parametrize("gamma_hat", ["30", "1e300"])
+    def test_filter_beyond_lattice_resolution_is_numerical_error(self, runner, gamma_hat):
+        result = runner.invoke(main, ["efficiency", "--t-hat", "2", "--gamma-hat", gamma_hat])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "exceeds points_per_sigma / 2 = 8" in lines[0]
+
     def test_invalid_physics_parameter(self, runner):
         result = runner.invoke(main, ["efficiency", "--t-hat", "-1", "--gamma-hat", "0.85"])
         assert result.exit_code == 4
@@ -272,6 +280,36 @@ class TestAnalyzeCommand:
         result = runner.invoke(main, self.analyze_args(tmp_path / "absent.csv"))
         assert result.exit_code == 3
 
+    def test_non_finite_integration_time_rows_skipped(self, runner, tmp_path):
+        counts = tmp_path / "counts.csv"
+        lines = COUNTS_BODY.splitlines()
+        counts.write_text(
+            "\n".join([lines[0] + ",integration_time_s", lines[1] + ",1", lines[2] + ",nan",
+                       lines[3] + ",inf", "40,40000,20000,20000,280,260,8.0,40,1"]) + "\n"
+        )
+        payload = run_json(runner, self.analyze_args(counts))
+        assert [row["pump_power_mW"] for row in payload["records"]] == [10.0, 40.0]
+        assert [issue.split(":")[0] for issue in payload["skipped_rows"]] == ["line 3", "line 4"]
+        assert all(row["eta_her_err"] > 0 for row in payload["records"])
+
+    def test_zero_trigger_row_reports_null(self, runner, tmp_path):
+        # The 0 mW point of a power scan: no value, kept in the rate fits.
+        counts = tmp_path / "counts.csv"
+        counts.write_text(COUNTS_BODY + "0,0,0,0,0,0,0,0\n")
+        plain = tmp_path / "plain.csv"
+        plain.write_text(COUNTS_BODY)
+        payload = run_json(runner, self.analyze_args(counts))
+        reference = run_json(runner, self.analyze_args(plain))
+        zero = payload["records"][3]
+        assert zero["pump_power_mW"] == 0.0
+        assert zero["eta_her"] is None and zero["eta_her_err"] is None
+        assert zero["g2"] is None and zero["g2_err"] is None
+        assert payload["records"][:3] == reference["records"]
+        assert payload["aggregate"] == reference["aggregate"]
+        assert payload["fits"]["c_T"]["slope"] == pytest.approx(1000.0, rel=1e-9)
+        assert payload["fits"]["c_T"]["intercept"] == pytest.approx(0.0, abs=1e-9)
+        assert payload["fits"]["c_T"]["residual_rms"] != reference["fits"]["c_T"]["residual_rms"]
+
     def test_headers_only_is_numerical_error(self, runner, tmp_path):
         counts = tmp_path / "counts.csv"
         counts.write_text(COUNTS_HEADER + "\n")
@@ -330,6 +368,34 @@ def command_args(tmp_path):
         "analyze": TestAnalyzeCommand().analyze_args(counts),
         "fit-spectrum": ["fit-spectrum", "--sweep-csv", str(sweep_path), "--filter-fwhm-ghz", "1.1"],
     }
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("efficiency", "--side-pulses", "-1"),
+        ("efficiency", "--points-per-sigma", "8"),
+        ("sweep", "--side-pulses", "-1"),
+        ("sweep", "--points-per-sigma", "15"),
+        ("sweep", "--t-steps", "0"),
+        ("sweep", "--gamma-steps", "0"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_out_of_range_integer_option_is_usage_error(runner, tmp_path, command, option, value, source):
+    args = command_args(tmp_path)[command]
+    if option in args:  # a flag would override the config file
+        at = args.index(option)
+        args = args[:at] + args[at + 2 :]
+    if source == "flag":
+        args = args + [option, value]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({option[2:].replace("-", "_"): int(value)}))
+        args = args + ["--config", str(config)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"'{option}'" in result.output and value in result.output
 
 
 @pytest.mark.parametrize("command", ["efficiency", "sweep", "spectrum", "analyze", "fit-spectrum"])

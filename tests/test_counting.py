@@ -1,9 +1,15 @@
+import dataclasses
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton.counting import (
+    COUNT_COLUMNS,
     CountRecord,
     Measurement,
     OpticalPath,
@@ -19,6 +25,7 @@ from biphoton.counting import (
     write_sweep_csv,
 )
 from biphoton.errors import ParameterError
+from biphoton.formatting import sig9, write_csv
 from biphoton.signal_model import GaussianFilterSpec
 
 
@@ -35,6 +42,22 @@ def make_record(**overrides):
     )
     base.update(overrides)
     return CountRecord(**base)
+
+
+RATE_FIELDS = ("c_t", "c_h", "c_v", "c_h_given_t", "c_v_given_t", "c_hv_given_t", "acc_s_given_t")
+
+
+@st.composite
+def count_records(draw, low=0.0):
+    """A valid record: rates in [low, 1e7], triples at most the smaller conditioned singles rate."""
+    rates = {name: draw(st.floats(low, 1e7)) for name in RATE_FIELDS if name != "c_hv_given_t"}
+    smaller = min(rates["c_h_given_t"], rates["c_v_given_t"])
+    return CountRecord(
+        pump_power_mw=draw(st.floats(0.0, 100.0)),
+        c_hv_given_t=draw(st.floats(0.0, 1.0)) * smaller,
+        integration_time_s=draw(st.floats(1e-3, 1e4)),
+        **rates,
+    )
 
 
 class TestRecords:
@@ -140,6 +163,31 @@ class TestHeraldedG2:
     def test_empty_port_raises(self):
         with pytest.raises(ParameterError):
             heralded_g2(make_record(c_v_given_t=0.0, c_hv_given_t=0.0))
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(record=count_records(low=1e-3), scale=st.floats(1e-3, 1e3))
+    def test_scale_invariance_property(self, record, scale):
+        scaled = dataclasses.replace(
+            record, **{name: getattr(record, name) * scale for name in RATE_FIELDS}
+        )
+        g2 = heralded_g2(record).value
+        assert heralded_g2(scaled).value == pytest.approx(g2, rel=1e-13, abs=0.0)
+
+
+class TestHeraldingEfficiencyProperties:
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(
+        record=count_records(low=1e-3),
+        first=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+        second=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+    )
+    def test_linear_in_inverse_path_efficiency(self, record, first, second):
+        # eta_her * T * eta_det = (c_s|T - acc) / c_T for any path.
+        def scaled_eta(transmission, detector_efficiency):
+            path = OpticalPath(transmission=transmission, detector_efficiency=detector_efficiency)
+            return heralding_efficiency(record, path).value * transmission * detector_efficiency
+
+        assert scaled_eta(*first) == pytest.approx(scaled_eta(*second), rel=1e-13, abs=0.0)
 
 
 class TestLinearRateFit:
@@ -265,6 +313,16 @@ class TestBandwidthFit:
 
 COUNTS_HEADER = "pump_power_mW,c_T,c_H,c_V,c_H_given_T,c_V_given_T,c_HV_given_T,acc_s_given_T"
 
+# (column, cell) pairs that make a row unusable: a blank cell only in a
+# column without a default.
+OPTIONAL_COLUMNS = ("c_HV_given_T", "acc_s_given_T", "integration_time_s")
+INJECTIONS = [
+    (column, cell)
+    for column in COUNT_COLUMNS
+    for cell in ("nan", "inf", "-inf", "-1.5", "")
+    if cell or column not in OPTIONAL_COLUMNS
+]
+
 
 class TestCsvIngestion:
     def test_counts_roundtrip(self, tmp_path):
@@ -320,6 +378,54 @@ class TestCsvIngestion:
         )
         records, _ = read_counts_csv(str(path))
         assert records[0].integration_time_s == 60.0
+
+    def test_non_finite_integration_time_rows_skipped(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(
+            COUNTS_HEADER + ",integration_time_s\n"
+            "10,10000,5000,5000,70,65,0.5,10,2\n"
+            "20,20000,10000,10000,140,130,2.0,20,nan\n"
+            "30,30000,15000,15000,210,195,4.5,30,inf\n"
+            "40,40000,20000,20000,280,260,8.0,40,1\n"
+        )
+        records, issues = read_counts_csv(str(path))
+        assert [record.pump_power_mw for record in records] == [10.0, 40.0]
+        assert [issue.split(":")[0] for issue in issues] == ["line 3", "line 4"]
+        assert all("integration_time_s" in issue for issue in issues)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        records=st.lists(count_records(), min_size=1, max_size=6),
+        injected=st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from(INJECTIONS)), max_size=4
+        ),
+    )
+    def test_counts_csv_roundtrip_property(self, records, injected):
+        # Records written under COUNT_COLUMNS read back as their nine-digit
+        # cells; a row with an injected bad cell is skipped at its own line.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.csv")
+            fields = list(COUNT_COLUMNS.values())
+            write_csv(path, COUNT_COLUMNS, ([getattr(r, name) for name in fields] for r in records))
+            with open(path) as handle:
+                header, *rows = handle.read().splitlines()
+            template = rows[0]
+            bad = [False] * len(rows)
+            for position, (column, cell) in injected:
+                cells = template.split(",")
+                cells[list(COUNT_COLUMNS).index(column)] = cell
+                position = min(position, len(rows))
+                rows.insert(position, ",".join(cells))
+                bad.insert(position, True)
+            with open(path, "w") as handle:
+                handle.write("\n".join([header, *rows]) + "\n")
+            back, issues = read_counts_csv(path)
+        assert [issue.split(":")[0] for issue in issues] == [
+            f"line {k + 2}" for k, is_bad in enumerate(bad) if is_bad
+        ]
+        assert back == [
+            CountRecord(**{name: sig9(getattr(r, name)) for name in fields}) for r in records
+        ]
 
     def test_sweep_roundtrip(self, tmp_path):
         points = synthetic_sweep(1.78, 1.1, n=7)

@@ -254,6 +254,21 @@ class TestReadInEfficiency:
         largest_gated = mi._lattice(DesignPoint(t_hat=12.0, gamma_hat=0.1)).n_points
         assert largest_gated == 192 <= mi.MAX_LATTICE_POINTS // 16
 
+    def test_filter_beyond_lattice_resolution_refused(self):
+        # The filter response exp(-(gamma_hat t)^2) decays on a scale of
+        # 1/gamma_hat against a lattice step of 1/points_per_sigma.  At
+        # gamma_hat = points_per_sigma / 2 the lattice has converged
+        # (t_hat = 4, against 64 points per sigma: 1.4e-16 measured);
+        # beyond it the point is refused.
+        for gamma_hat, density in ((8.0, 16), (16.0, 32)):
+            coarse = read_in_efficiency(DesignPoint(4.0, gamma_hat, points_per_sigma=density))
+            fine = read_in_efficiency(DesignPoint(4.0, gamma_hat, points_per_sigma=64))
+            assert abs(coarse - fine) <= 1e-12
+        with pytest.raises(ParameterError, match=r"gamma_hat = 8\.5 exceeds points_per_sigma / 2 = 8"):
+            evaluate_design(DesignPoint(t_hat=4.0, gamma_hat=8.5))
+        with pytest.raises(ParameterError, match=r"gamma_hat = 1e\+300"):
+            evaluate_design(DesignPoint(t_hat=2.0, gamma_hat=1e300))
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ParameterError):
             read_in_efficiency(DesignPoint(t_hat=2.0, gamma_hat=0.9), kernel="diabolical")
@@ -343,6 +358,14 @@ class TestSweep:
         t_fail, g_fail, message = emap.failures[0]
         assert (t_fail, g_fail) == (1e4, 0.01)
         assert "16160" in message
+
+    def test_cell_beyond_lattice_resolution_is_a_failure(self):
+        emap = sweep_design_space((4.0, 4.0), (2.0, 12.0), (1, 3))
+        assert np.isfinite(emap.eta_in[0, :2]).all() and math.isnan(emap.eta_in[0, 2])
+        assert len(emap.failures) == 1
+        t_fail, g_fail, message = emap.failures[0]
+        assert (t_fail, g_fail) == (4.0, 12.0)
+        assert "gamma_hat = 12 exceeds points_per_sigma / 2 = 8" in message
 
     def test_env_variable_controls_workers(self, monkeypatch):
         monkeypatch.setenv(mi.ENV_THREADS, "2")
