@@ -203,9 +203,9 @@ def sweep(cfg: dict) -> dict:
     """Sweep the design rectangle and report per-row optima.
 
     Cells of a row that share a lattice are evaluated in batches, one
-    batched eigvalsh of J^T J each, on a thread pool sized by the
-    BIPHOTON_THREADS environment variable (0 or unset: one thread per
-    CPU); results do not depend on the thread count.
+    batched eigvalsh of the even and odd halves of J each, on a thread
+    pool sized by the BIPHOTON_THREADS environment variable (0 or unset:
+    one thread per CPU); results do not depend on the thread count.
     """
     emap = sweep_design_space(
         (cfg["t_min"], cfg["t_max"]),

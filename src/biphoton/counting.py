@@ -145,8 +145,13 @@ def subtract_accidentals(record: CountRecord) -> NetRate:
 
 
 def _poisson_rate_err(rate: float, tau: float) -> float:
-    """One-sigma error of a rate estimated from Poisson counts over tau."""
-    return math.sqrt(max(rate, 0.0) / tau)
+    """One-sigma error of a rate estimated from Poisson counts over tau.
+
+    The count is floored at one, so a rate of zero counts (no triples at
+    low pump power) still carries the error 1/tau of a single count
+    instead of none.
+    """
+    return math.sqrt(max(rate, 1.0 / tau) / tau)
 
 
 def heralding_efficiency(record: CountRecord, path: OpticalPath) -> Measurement:

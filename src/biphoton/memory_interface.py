@@ -41,13 +41,14 @@ SUPPORT_HALF_WIDTH = 5.0
 
 ENV_THREADS = "BIPHOTON_THREADS"
 
-# Largest lattice, in points per axis, that a design point may ask for: a
-# value matrix and its Gram matrix then take 2 * 8 * 4096^2 B = 268 MB.
+# Largest lattice, in points per axis, that a design point may ask for: the
+# upper half of a value matrix, its two folded blocks and their Gram
+# matrices then take 3 * 4 * 4096^2 B = 201 MB.
 # The gated acceptance rectangle needs at most 192 points; t_hat = 1e4 at
 # gamma_hat = 0.01 would ask for 16160.
 MAX_LATTICE_POINTS = 4096
 
-# Byte budget of one stack of value matrices in a sweep batch.  Larger
+# Byte budget of one stack of folded value matrices in a sweep batch.  Larger
 # stacks buy no speed (4 MB runs as fast as 1 MB) and raise the peak
 # memory of the pool; one matrix per batch gives the batching gain back.
 BATCH_BYTES = 1 << 20
@@ -96,13 +97,15 @@ class DesignReport:
 
 
 def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
-    """Symmetric lattice with nodes at +/-(j + 1/2) step.
+    """Symmetric lattice with nodes at +/-(j + 1/2) step, at least two per side.
 
     Midpoint placement keeps gate edges exactly between nodes, which
     restores second-order convergence of gated quadratures; an edge node
     at full weight would bias the effective gate width by half a step.
+    The node count is even, so the lattice folds into two mirrored halves
+    (see `_schmidt_weights`), each itself a lattice of at least two nodes.
     """
-    count = max(1, math.ceil(half_width / step - 0.5))
+    count = max(2, math.ceil(half_width / step - 0.5))
     edge = (count - 0.5) * step
     return TimeGrid(2 * count, -edge, edge)
 
@@ -136,51 +139,74 @@ def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
         half_width = point.n_side_pulses * point.t_hat + local
     grid = _midpoint_grid(half_width, 1.0 / point.points_per_sigma)
     if grid.n_points > MAX_LATTICE_POINTS:
-        gigabytes = 2 * 8 * float(grid.n_points) ** 2 / 1e9
+        gigabytes = 3 * 4 * float(grid.n_points) ** 2 / 1e9
         raise ParameterError(
             f"lattice of {grid.n_points} x {grid.n_points} points ({gigabytes:.3g} GB for "
-            f"the amplitude and its Gram matrix) exceeds the cap of {MAX_LATTICE_POINTS} "
+            f"the folded amplitude and its Gram matrices) exceeds the cap of {MAX_LATTICE_POINTS} "
             "points per axis"
         )
     return grid
 
 
 def _schmidt_weights(values: np.ndarray, step: float) -> np.ndarray:
-    """Descending Schmidt weights of each matrix in a stack ``(k, n_i, n_s)``.
+    """Descending Schmidt weights of each amplitude in a stack of upper halves.
 
-    The weights are the eigenvalues of J^H J, the squared singular values
-    of J, clipped at zero (the Gram matrix puts round-off of order
-    eps * lambda_1 on the vanishing ones) and scaled by the cell area
-    ``step**2``.  J^H J is formed on the `support` block of the stack, and
-    each row of weights is padded with zeros to ``n_s`` entries.
+    ``values`` is ``(k, h, n)``: the rows t_i < 0 of value matrices J on a
+    symmetric lattice of n = 2h nodes.  The amplitude must be even under
+    (t_i, t_s) -> (-t_i, -t_s), which holds for a symmetric pump train, a
+    centred gate (or none) and a filter that depends on t_i - t_s.  Then J
+    is orthogonally similar to diag(J+, J-) with J+- = A +- B R, where
+    [A B] are the upper rows and R reverses the columns of B, so that
+    J+-[i, j] = f(t_i, t_j) +- f(t_i, -t_j); the singular values of J are
+    those of J+ and J- together (time-reversal parity of the Schmidt
+    modes; Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
+
+    The weights are the eigenvalues of J+-^H J+-, clipped at zero (the
+    Gram matrix puts round-off of order eps * lambda_1 on the vanishing
+    ones) and scaled by the cell area ``step**2``.  The Gram matrices of
+    the ``(2k, h, h)`` stack of J+ and J- are formed on its `support`
+    block; each amplitude's two rows of weights are merged in descending
+    order and padded with zeros to ``n`` entries.
     """
-    rows, cols = support(values)
-    block = values[:, rows, cols]
+    count, half, size = values.shape
+    upper = values[..., :half]
+    mirrored = values[..., : half - 1 : -1]
+    folded = np.empty((2, count, half, half))
+    np.add(upper, mirrored, out=folded[0])
+    np.subtract(upper, mirrored, out=folded[1])
+    folded = folded.reshape(2 * count, half, half)
+    rows, cols = support(folded)
+    block = folded[:, rows, cols]
     gram = block.conj().swapaxes(-1, -2) @ block
     try:
         eigenvalues = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigenvalue decomposition failed: {exc}") from exc
-    weights = np.zeros((values.shape[0], values.shape[2]))
-    weights[:, : gram.shape[-1]] = np.clip(eigenvalues[..., ::-1], 0.0, None) * (step * step)
+    merged = np.sort(np.hstack(eigenvalues.reshape(2, count, -1)), axis=1)[:, ::-1]
+    weights = np.zeros((count, size))
+    weights[:, : merged.shape[1]] = np.clip(merged, 0.0, None) * (step * step)
     return weights
 
 
 def _evaluate_batch(
     points: list[DesignPoint], include_gates: bool = True
 ) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
-    """Lattice, value stack and Schmidt weights of points that share a lattice.
+    """Lattice, upper-half value stack and Schmidt weights of points that share a lattice.
 
     The points must differ in ``gamma_hat`` only and have lattices of one
     size, which makes them one lattice: the grid is fixed by its size and
-    step.  Raises :class:`ParameterError` when any amplitude vanishes.
+    step.  Only the rows t_i < 0 of each value matrix are built, shape
+    ``(k, n/2, n)``; the train is symmetric, the gate centred and the
+    lattice symmetric with an even node count, as `_schmidt_weights`
+    requires.  Raises :class:`ParameterError` when any amplitude vanishes.
     """
     first = points[0]
     grid = _lattice(first, include_gates)
+    upper = TimeGrid(grid.n_points // 2, grid.t_min, -0.5 * grid.step)
     train = PulseTrainSpec(sigma_p=1.0, period=first.t_hat, n_side_pulses=first.n_side_pulses)
     gates = TimeGateSpec(width=first.t_hat, center=0.0) if include_gates else None
     gammas = np.array([p.gamma_hat for p in points])
-    values = gated_jta_stack(train, gammas, gates, grid, grid)
+    values = gated_jta_stack(train, gammas, gates, upper, grid)
     weights = _schmidt_weights(values, grid.step)
     if (weights.sum(axis=1) <= 0).any():
         raise ParameterError("joint amplitude vanished at this design point")
@@ -202,9 +228,10 @@ def evaluate_design(
 ) -> DesignReport:
     """Evaluate the read-in efficiency and mode structure at one design point.
 
-    The Schmidt weights are the eigenvalues of J^T J (``eigvalsh``) for
-    the value matrix J on the point's lattice, which is bounded by
-    ``MAX_LATTICE_POINTS`` before anything is allocated.
+    The Schmidt weights are the eigenvalues (``eigvalsh``) of the Gram
+    matrices of the even and odd halves J+ and J- of the value matrix J
+    on the point's lattice (see `_schmidt_weights`); the lattice is
+    bounded by ``MAX_LATTICE_POINTS`` before anything is allocated.
 
     Parameters
     ----------
@@ -257,11 +284,14 @@ def _ungated_kernel_overlap(values: np.ndarray, grid: TimeGrid, gamma_hat: float
     are Hermite-Gaussians (Mehler kernel; Law, Walmsley & Eberly, PRL 84,
     5304 (2000)) and the signal fundamental is
     K(t) = (2 alpha / pi)^(1/4) exp(-alpha t^2) with alpha = sqrt(1 + gamma_hat^2).
+    ``values`` holds the rows t_i < 0 of the value matrix J on ``grid``;
+    K is even and J is even under (t_i, t_s) -> (-t_i, -t_s), so the rows
+    t_i > 0 of J K mirror them and ||J K||^2 is twice their share.
     """
     alpha = math.sqrt(1.0 + gamma_hat**2)
     kernel = (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * grid.points**2)
     projected = values @ kernel * grid.step
-    return float((np.abs(projected) ** 2).sum() * grid.step)
+    return float(2.0 * (np.abs(projected) ** 2).sum() * grid.step)
 
 
 def read_in_efficiency(
@@ -374,13 +404,13 @@ def sweep_design_space(
         index, so the map is the same bit for bit on any pool.
 
     The cells of one row whose lattices have one size share one lattice.
-    They are evaluated in batches of at most ``BATCH_BYTES`` of value
-    matrices: one stacked Gram matrix J^T J and one batched ``eigvalsh``
-    per batch, so that a pool job does enough work in LAPACK to run
-    beside the others.  On the 32x64 acceptance sweep (2 CPUs,
-    ``OPENBLAS_NUM_THREADS=1``, medians of ten benchmark runs) this takes
-    the pool of two from 4.1 s to 1.2 s, and the serial sweep
-    (``workers=1``) from 3.1 s to 2.1 s.
+    They are evaluated in batches of at most ``BATCH_BYTES`` of folded
+    value matrices J+ and J-: one stacked Gram product and one batched
+    ``eigvalsh`` per batch, so that a pool job does enough work in
+    LAPACK to run beside the others.  On the 32x64 acceptance sweep
+    (2 CPUs, ``OPENBLAS_NUM_THREADS=1``, medians of ten benchmark runs)
+    the pool of two takes 0.66 s and the serial sweep (``workers=1``)
+    1.14 s, against 1.00 s and 1.87 s on the full n x n Gram matrices.
 
     Cell evaluations that fail numerically are recorded with their
     coordinates in ``failures`` and leave a NaN cell instead of
@@ -416,7 +446,7 @@ def sweep_design_space(
             except ParameterError as exc:
                 errors[row, col] = str(exc)
         for size, cols in groups.items():
-            per_stack = max(1, BATCH_BYTES // (8 * size * size))
+            per_stack = max(1, BATCH_BYTES // (4 * size * size))
             for start in range(0, len(cols), per_stack):
                 stack = cols[start : start + per_stack]
                 jobs.append((row, stack, [points[col] for col in stack]))

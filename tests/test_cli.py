@@ -310,6 +310,19 @@ class TestAnalyzeCommand:
         assert payload["fits"]["c_T"]["intercept"] == pytest.approx(0.0, abs=1e-9)
         assert payload["fits"]["c_T"]["residual_rms"] != reference["fits"]["c_T"]["residual_rms"]
 
+    def test_zero_triples_row_keeps_weighted_g2(self, runner, tmp_path):
+        # No triple coincidences in one integration: the count is floored at
+        # one, so g2 = 0 carries an error and the aggregate stays weighted.
+        counts = tmp_path / "counts.csv"
+        counts.write_text(COUNTS_BODY + "5,5000,2500,2500,35,32,0,5\n")
+        payload = run_json(runner, self.analyze_args(counts))
+        zero = payload["records"][3]
+        assert zero["g2"] == 0.0 and zero["g2_err"] > 0
+        weights = [1.0 / row["g2_err"] ** 2 for row in payload["records"]]
+        mean = sum(w * row["g2"] for w, row in zip(weights, payload["records"])) / sum(weights)
+        assert payload["aggregate"]["g2"] == pytest.approx(mean, rel=1e-8)
+        assert payload["aggregate"]["g2_err"] == pytest.approx(math.sqrt(1.0 / sum(weights)), rel=1e-8)
+
     def test_headers_only_is_numerical_error(self, runner, tmp_path):
         counts = tmp_path / "counts.csv"
         counts.write_text(COUNTS_HEADER + "\n")

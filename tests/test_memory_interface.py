@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import biphoton.memory_interface as mi
 from biphoton.errors import ParameterError
@@ -111,6 +113,17 @@ def svd_report(point, include_gates=True, kernel="gated"):
     }
 
 
+def assert_matches_svd_oracle(point, include_gates, kernel):
+    report = evaluate_design(point, include_gates=include_gates, kernel=kernel)
+    oracle = svd_report(point, include_gates, kernel)
+    assert abs(report.eta_in - oracle["eta_in"]) <= 1e-12
+    assert abs(report.purity - oracle["purity"]) <= 1e-12
+    assert abs(report.gating_loss - oracle["gating_loss"]) <= 1e-12
+    head = np.array(report.lambda_sq_head)
+    assert head.size == oracle["lambda_sq_head"].size
+    assert np.abs(head - oracle["lambda_sq_head"]).max() <= 1e-12
+
+
 # t_hat in [14, 30], gamma_hat in [0.5, 3]: every row holds 3 to 9 lattice sizes.
 MIXED_LATTICE_RECT = ((14.0, 30.0), (0.5, 3.0), (5, 9))
 
@@ -136,6 +149,14 @@ class TestMidpointLattice:
         # Largest node sits half a step inside the half-width.
         assert t[-1] == pytest.approx(1.0 - 0.5 / 16.0, abs=1e-12)
         assert np.allclose(t, -t[::-1], atol=1e-12)
+
+    def test_narrow_gate_keeps_two_nodes_per_side(self):
+        # Each half of the folded lattice is a lattice of its own.  At
+        # t_hat = 0.1 the outer nodes lie outside the gate, so eta_in is
+        # that of the two inner nodes alone.
+        assert mi._midpoint_grid(0.05, 1.0 / 16.0).n_points == 4
+        eta = read_in_efficiency(DesignPoint(t_hat=0.1, gamma_hat=0.9))
+        assert eta == pytest.approx(0.4034206208633296, rel=1e-12)
 
     def test_reference_norm_matches_closed_form(self):
         for gamma_hat in (0.3, 0.85, 2.0):
@@ -206,15 +227,7 @@ class TestReadInEfficiency:
         ],
     )
     def test_eigen_route_matches_svd_oracle(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
-        point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        report = evaluate_design(point, include_gates=include_gates, kernel=kernel)
-        oracle = svd_report(point, include_gates, kernel)
-        assert abs(report.eta_in - oracle["eta_in"]) <= 1e-12
-        assert abs(report.purity - oracle["purity"]) <= 1e-12
-        assert abs(report.gating_loss - oracle["gating_loss"]) <= 1e-12
-        head = np.array(report.lambda_sq_head)
-        assert head.size == oracle["lambda_sq_head"].size
-        assert np.abs(head - oracle["lambda_sq_head"]).max() <= 1e-12
+        assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), include_gates, kernel)
 
     def test_trimmed_no_gates_block_matches_svd_oracle(self):
         # Without gates the lattice spans the filter tails of the whole train,
@@ -224,13 +237,7 @@ class TestReadInEfficiency:
         _, values, _ = mi._evaluate_batch([point], include_gates=False)
         _, cols = support(values)
         assert cols.stop - cols.start < values.shape[2]
-
-        report = evaluate_design(point, include_gates=False)
-        oracle = svd_report(point, include_gates=False)
-        assert abs(report.eta_in - oracle["eta_in"]) <= 1e-12
-        assert abs(report.purity - oracle["purity"]) <= 1e-12
-        assert abs(report.gating_loss - oracle["gating_loss"]) <= 1e-12
-        assert np.abs(np.array(report.lambda_sq_head) - oracle["lambda_sq_head"]).max() <= 1e-12
+        assert_matches_svd_oracle(point, False, "gated")
 
     def test_report_consistency(self):
         report = evaluate_design(DesignPoint(t_hat=3.0, gamma_hat=0.9))
@@ -284,6 +291,56 @@ class TestReadInEfficiency:
         coarse = read_in_efficiency(DesignPoint(t_hat, gamma_hat, points_per_sigma=16))
         fine = read_in_efficiency(DesignPoint(t_hat, gamma_hat, points_per_sigma=32))
         assert abs(coarse - fine) < 1e-3
+
+
+# Continuous t_hat draws land off the lattice; both kernels, gates on or off.
+DESIGN_DRAWS = given(
+    t_hat=st.floats(2.0, 12.0),
+    gamma_hat=st.floats(0.1, 3.0),
+    side_pulses=st.integers(0, 3),
+    include_gates=st.booleans(),
+    kernel=st.sampled_from(["gated", "ungated"]),
+)
+
+
+class TestParityFold:
+    def test_no_full_lattice_matrix_is_formed(self, monkeypatch):
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def spy(matrices):
+            shapes.append(matrices.shape)
+            return real(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        points = [DesignPoint(12.0, 0.1), DesignPoint(12.0, 0.2)]
+        grid, values, weights = mi._evaluate_batch(points)
+        half = grid.n_points // 2
+        assert values.shape == (2, half, grid.n_points)
+        assert weights.shape == (2, grid.n_points)
+        # One eigvalsh call on the even and odd blocks of both points.
+        assert len(shapes) == 1 and shapes[0][0] == 4 and max(shapes[0][1:]) <= half
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @DESIGN_DRAWS
+    # A single pulse without gates has Hermite-Gauss modes of alternating
+    # parity, so its second Schmidt weight comes from the odd block.
+    @example(t_hat=12.0, gamma_hat=0.1, side_pulses=0, include_gates=False, kernel="gated")
+    def test_folded_evaluation_matches_full_lattice_oracle(
+        self, t_hat, gamma_hat, side_pulses, include_gates, kernel
+    ):
+        assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), include_gates, kernel)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @DESIGN_DRAWS
+    def test_efficiency_bounds(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
+        point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
+        gated = read_in_efficiency(point, include_gates=include_gates, kernel="gated")
+        ungated = read_in_efficiency(point, include_gates=include_gates, kernel="ungated")
+        assert ungated <= gated + 1e-12
+        if side_pulses == 0:
+            # With side pulses the single-pulse bound does not hold.
+            assert 0.0 <= ungated and gated <= closed_form_top_weight(gamma_hat) + 1e-12
 
 
 class TestSweep:
