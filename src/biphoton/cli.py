@@ -32,12 +32,7 @@ from .counting import (
     read_sweep_csv,
     subtract_accidentals,
 )
-from .errors import (
-    DecompositionError,
-    FitConvergenceError,
-    GridMismatchError,
-    ParameterError,
-)
+from .errors import BiphotonError, ParameterError
 from .formatting import json_sanitize
 from .joint_amplitude import (
     marginal_signal_spectrum,
@@ -122,7 +117,7 @@ def _tool_errors(func):
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(3)
-        except (ParameterError, GridMismatchError, DecompositionError, FitConvergenceError) as exc:
+        except BiphotonError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
         except (MemoryError, ValueError, np.linalg.LinAlgError) as exc:
@@ -223,7 +218,7 @@ def sweep(cfg: dict) -> dict:
 @click.option("--pump-fwhm-ghz", type=float, default=None, help="Pump intensity-spectrum FWHM.")
 @click.option("--filter-fwhm-ghz", type=float, default=None, help="Idler filter amplitude FWHM.")
 @click.option("--filter-center-ghz", type=float, default=0.0, show_default=True)
-@click.option("--points", type=click.IntRange(min=16), default=2049, show_default=True, help="Frequency axis length.")
+@click.option("--points", type=click.IntRange(16, 1 << 20), default=2049, show_default=True, help="Frequency axis length.")
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Spectrum curve CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
 def spectrum(cfg: dict) -> dict:

@@ -29,7 +29,8 @@ from .signal_model import (
     default_time_grid,
     half_maximum_width,
     sample_gate,
-    sample_pump_train,
+    train_amplitude,
+    warn_if_train_cropped,
 )
 
 TIME_DOMAIN = "time"
@@ -89,35 +90,29 @@ def assemble_gated_jta(
     elif grid_i is None or grid_s is None:
         raise GridMismatchError("provide both grids or neither")
 
-    values = gated_jta_stack(train, np.array([filt.gamma]), gates, grid_i, grid_s)[0]
+    values = jta_stack(train, np.array([filt.gamma]), grid_i.points, grid_s.points)[0]
+    if gates is None:
+        warn_if_train_cropped(train, grid_s)
+    else:
+        values *= sample_gate(gates, grid_s)
+        values *= sample_gate(gates, grid_i)[:, None]
     return JointAmplitude(values, grid_i, grid_s, TIME_DOMAIN)
 
 
-def gated_jta_stack(
-    train: PulseTrainSpec,
-    gammas: np.ndarray,
-    gates: TimeGateSpec | None,
-    grid_i: TimeGrid,
-    grid_s: TimeGrid,
-) -> np.ndarray:
-    """Value matrices of the joint amplitude for a stack of filter constants.
+def jta_stack(train: PulseTrainSpec, gammas: np.ndarray, t_i: np.ndarray, t_s: np.ndarray) -> np.ndarray:
+    """Ungated value matrices of the joint amplitude for a stack of filter constants.
 
-    ``values[k] = exp(-(gammas[k] (t_i - t_s))^2) * Omega_tot(t_s) * G(t_i) G(t_s)``
-    with shape ``(gammas.size, n_i, n_s)``.  The filters share the pump
-    train, the gates and the lattice, so the stack is built in place: one
-    outer product of the filter constants with the time differences, one
-    exponential and one multiplication by the train and gate windows.
-    ``gates=None`` leaves the state ungated.
+    ``values[k] = exp(-(gammas[k] (t_i - t_s))^2) * Omega_tot(t_s)`` on the
+    idler nodes ``t_i`` and signal nodes ``t_s``, shape
+    ``(gammas.size, t_i.size, t_s.size)``, built in place: one outer
+    product of the filter constants with the time differences and one
+    exponential.
     """
-    omega = sample_pump_train(train, grid_s, check_coverage=gates is None)
-    values = np.multiply.outer(gammas, np.subtract.outer(grid_i.points, grid_s.points))
+    values = np.multiply.outer(gammas, np.subtract.outer(t_i, t_s))
     np.square(values, out=values)
     np.negative(values, out=values)
     np.exp(values, out=values)
-    values *= omega
-    if gates is not None:
-        values *= sample_gate(gates, grid_s)
-        values *= sample_gate(gates, grid_i)[:, None]
+    values *= train_amplitude(train, t_s)
     return values
 
 

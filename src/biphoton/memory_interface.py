@@ -24,15 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionError, GridMismatchError, ParameterError
+from .errors import BiphotonError, DecompositionError, GridMismatchError, ParameterError
 from .formatting import write_csv
-from .joint_amplitude import gated_jta_stack
+from .joint_amplitude import jta_stack
 from .schmidt import support
-from .signal_model import (
-    PulseTrainSpec,
-    TimeGateSpec,
-    TimeGrid,
-)
+from .signal_model import PulseTrainSpec, TimeGrid
 
 # Half-width, in units of the relevant scale, beyond which Gaussian
 # envelopes are treated as having no support (exp(-25) ~ 1e-11 in
@@ -97,15 +93,15 @@ class DesignReport:
 
 
 def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
-    """Symmetric lattice with nodes at +/-(j + 1/2) step, at least two per side.
+    """Symmetric lattice with nodes at +/-(j + 1/2) step, at least one per side.
 
     Midpoint placement keeps gate edges exactly between nodes, which
     restores second-order convergence of gated quadratures; an edge node
     at full weight would bias the effective gate width by half a step.
     The node count is even, so the lattice folds into two mirrored halves
-    (see `_schmidt_weights`), each itself a lattice of at least two nodes.
+    (see `_schmidt_weights`).
     """
-    count = max(2, math.ceil(half_width / step - 0.5))
+    count = max(1, math.ceil(half_width / step - 0.5))
     edge = (count - 0.5) * step
     return TimeGrid(2 * count, -edge, edge)
 
@@ -118,26 +114,36 @@ def _local_half_width(gamma_hat: float) -> float:
 def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
     """Shared idler/signal lattice of a design point, bounded before allocation.
 
-    With gates the amplitude lives on the gate block; outside
-    min(T/2, local support) it is zero or below double precision, so
-    cropping to it drops only zero rows and columns.  Without gates the
-    lattice spans the whole train.  Raises :class:`ParameterError` when
-    the step 1/points_per_sigma does not resolve the filter response
-    exp(-(gamma_hat t)^2), that is for gamma_hat > points_per_sigma / 2,
-    and, with the size estimate, when the lattice exceeds
-    ``MAX_LATTICE_POINTS``.
+    With gates the lattice is the gate: outside min(T/2, local support)
+    the gated amplitude is zero or below double precision, so the lattice
+    spans that block and nothing else.  Its outermost node lies at
+    (count - 1/2) h <= T/2 for the step h = 1/points_per_sigma, with
+    equality only at T = h, so every node is inside the closed gate and
+    no gate mask is needed.  A gate narrower than one step holds no node
+    and is refused.  Without gates the lattice spans the whole train.
+
+    Raises :class:`ParameterError` when the step does not resolve the
+    filter response exp(-(gamma_hat t)^2), that is for gamma_hat >
+    points_per_sigma / 2; with gates, when t_hat < h; and, with the size
+    estimate, when the lattice exceeds ``MAX_LATTICE_POINTS``.
     """
     if point.gamma_hat > 0.5 * point.points_per_sigma:
         raise ParameterError(
             f"gamma_hat = {point.gamma_hat:g} exceeds points_per_sigma / 2 = "
             f"{0.5 * point.points_per_sigma:g}, above which the lattice does not resolve the filter"
         )
+    step = 1.0 / point.points_per_sigma
     local = _local_half_width(point.gamma_hat)
     if include_gates:
+        if point.t_hat < step:
+            raise ParameterError(
+                f"t_hat = {point.t_hat:g} is below the lattice step 1/points_per_sigma = "
+                f"{step:g}: the gate holds no node"
+            )
         half_width = min(0.5 * point.t_hat, local)
     else:
         half_width = point.n_side_pulses * point.t_hat + local
-    grid = _midpoint_grid(half_width, 1.0 / point.points_per_sigma)
+    grid = _midpoint_grid(half_width, step)
     if grid.n_points > MAX_LATTICE_POINTS:
         gigabytes = 3 * 4 * float(grid.n_points) ** 2 / 1e9
         raise ParameterError(
@@ -196,17 +202,19 @@ def _evaluate_batch(
     The points must differ in ``gamma_hat`` only and have lattices of one
     size, which makes them one lattice: the grid is fixed by its size and
     step.  Only the rows t_i < 0 of each value matrix are built, shape
-    ``(k, n/2, n)``; the train is symmetric, the gate centred and the
-    lattice symmetric with an even node count, as `_schmidt_weights`
-    requires.  Raises :class:`ParameterError` when any amplitude vanishes.
+    ``(k, n/2, n)``; the train is symmetric and the lattice symmetric
+    with an even node count, as `_schmidt_weights` requires.  The gate
+    is the lattice itself (see `_lattice`): every node of a gated
+    lattice lies inside the closed gate, so the gated amplitude is the
+    ungated kernel on its nodes and no mask is applied.  Raises
+    :class:`ParameterError` when any amplitude vanishes.
     """
     first = points[0]
     grid = _lattice(first, include_gates)
-    upper = TimeGrid(grid.n_points // 2, grid.t_min, -0.5 * grid.step)
+    upper = np.linspace(grid.t_min, -grid.step / 2, grid.n_points // 2)
     train = PulseTrainSpec(sigma_p=1.0, period=first.t_hat, n_side_pulses=first.n_side_pulses)
-    gates = TimeGateSpec(width=first.t_hat, center=0.0) if include_gates else None
     gammas = np.array([p.gamma_hat for p in points])
-    values = gated_jta_stack(train, gammas, gates, upper, grid)
+    values = jta_stack(train, gammas, upper, grid.points)
     weights = _schmidt_weights(values, grid.step)
     if (weights.sum(axis=1) <= 0).any():
         raise ParameterError("joint amplitude vanished at this design point")
@@ -328,16 +336,6 @@ class EfficiencyMap:
         if finite.size and (finite.min() < -1e-6 or finite.max() > 1.0 + 1e-6):
             raise ParameterError("efficiencies must lie in [0, 1] within tolerance")
 
-    def row_optimum_consistent(self) -> bool:
-        """Re-scan check: each refined optimum is at least the row's best cell."""
-        for row, eta_row in enumerate(self.eta_in):
-            finite = np.isfinite(eta_row)
-            if not finite.any():
-                continue
-            if self.eta_opt[row] < np.nanmax(eta_row) - 1e-12:
-                return False
-        return True
-
 
 def _refine_row_maximum(gammas: np.ndarray, etas: np.ndarray) -> tuple[float, float]:
     """Best gamma of one sweep row, parabola-refined around the best cell."""
@@ -415,8 +413,8 @@ def sweep_design_space(
     Cell evaluations that fail numerically are recorded with their
     coordinates in ``failures`` and leave a NaN cell instead of
     aborting the sweep: a batch that raises is evaluated again cell by
-    cell through `read_in_efficiency`, and a cell whose lattice exceeds
-    ``MAX_LATTICE_POINTS`` fails before anything is allocated.
+    cell, and a cell whose lattice is refused (see `_lattice`) fails
+    before anything is allocated.
     """
     n_t, n_gamma = resolution
     if n_t < 1 or n_gamma < 1:
@@ -451,28 +449,19 @@ def sweep_design_space(
                 stack = cols[start : start + per_stack]
                 jobs.append((row, stack, [points[col] for col in stack]))
 
-    def cell(point: DesignPoint) -> tuple[float, str | None]:
-        try:
-            return read_in_efficiency(point), None
-        except (ParameterError, DecompositionError, GridMismatchError) as exc:
-            return math.nan, str(exc)
-
     def run(points: list[DesignPoint]) -> list[tuple[float, str | None]]:
         try:
             _, _, weights = _evaluate_batch(points)
-        except (ParameterError, DecompositionError, GridMismatchError):
+        except BiphotonError as exc:
+            if len(points) == 1:
+                return [(math.nan, str(exc))]
             # Only the failing cell is lost, with its own message.
-            return [cell(point) for point in points]
+            return [result for point in points for result in run([point])]
         gammas = np.array([point.gamma_hat for point in points])
         return [(float(value), None) for value in weights[:, 0] / _single_pulse_norm(gammas)]
 
-    batches = [points for _, _, points in jobs]
-    count = _worker_count(workers)
-    if count > 1:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(points) for points in batches]
+    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
+        results = list(pool.map(run, (points for _, _, points in jobs)))
 
     for (row, cols, _), batch in zip(jobs, results):
         for col, (value, error) in zip(cols, batch):

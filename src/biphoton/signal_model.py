@@ -160,28 +160,29 @@ class TimeGateSpec:
         return self.center + 0.5 * self.width
 
 
-def _train_amplitude(spec: PulseTrainSpec, t: np.ndarray) -> np.ndarray:
+def train_amplitude(spec: PulseTrainSpec, t: np.ndarray) -> np.ndarray:
+    """Amplitude of the pump pulse train at the times ``t``."""
     indices = np.arange(-spec.n_side_pulses, spec.n_side_pulses + 1)
     centers = indices * spec.period
     terms = np.exp(-(((t[None, :] - centers[:, None]) / spec.sigma_p) ** 2))
     return spec.amplitude * terms.sum(axis=0)
 
 
-def sample_pump_train(spec: PulseTrainSpec, grid: TimeGrid, check_coverage: bool = True) -> np.ndarray:
-    """Amplitude of the pump pulse train on ``grid``.
-
-    Emits a :class:`CoverageWarning` when the grid does not span the full
-    train window ``[-(M + 1/2) T, (M + 1/2) T]``; callers that crop on
-    purpose (for example within a time gate) pass ``check_coverage=False``.
-    """
-    if check_coverage and (grid.t_min > -spec.span or grid.t_max < spec.span):
+def warn_if_train_cropped(spec: PulseTrainSpec, grid: TimeGrid) -> None:
+    """Emit a :class:`CoverageWarning` when ``grid`` does not span the train window ``[-span, span]``."""
+    if grid.t_min > -spec.span or grid.t_max < spec.span:
         warnings.warn(
             "grid does not span the full pulse train window; the sampled "
             "train is truncated",
             CoverageWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _train_amplitude(spec, grid.points)
+
+
+def sample_pump_train(spec: PulseTrainSpec, grid: TimeGrid) -> np.ndarray:
+    """Amplitude of the pump pulse train on ``grid``, warning as `warn_if_train_cropped`."""
+    warn_if_train_cropped(spec, grid)
+    return train_amplitude(spec, grid.points)
 
 
 def sample_filter_time(spec: GaussianFilterSpec, grid: TimeGrid) -> np.ndarray:

@@ -108,6 +108,16 @@ class TestEfficiencyCommand:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and "exceeds points_per_sigma / 2 = 8" in lines[0]
 
+    def test_gate_without_nodes_is_numerical_error(self, runner):
+        args = ["efficiency", "--t-hat", "0.05", "--gamma-hat", "0.9"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert "t_hat = 0.05 is below the lattice step 1/points_per_sigma = 0.0625" in lines[0]
+        assert runner.invoke(main, args + ["--no-gates"]).exit_code == 0
+
     def test_invalid_physics_parameter(self, runner):
         result = runner.invoke(main, ["efficiency", "--t-hat", "-1", "--gamma-hat", "0.85"])
         assert result.exit_code == 4
@@ -392,6 +402,7 @@ def command_args(tmp_path):
         ("sweep", "--points-per-sigma", "15"),
         ("sweep", "--t-steps", "0"),
         ("sweep", "--gamma-steps", "0"),
+        ("spectrum", "--points", "1048577"),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -293,6 +293,26 @@ class TestBandwidthFit:
         assert fit.scale == pytest.approx(0.63, rel=0.02)
         assert abs(fit.delta_nu_ghz - 1.78) / 1.78 <= 0.01
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        delta_nu=st.floats(0.3, 3.0),
+        filter_fwhm=st.floats(0.5, 2.0),
+        center=st.floats(-0.5, 0.5),
+        scale=st.floats(0.2, 2.0),
+        transmission=st.sampled_from(["intensity", "amplitude"]),
+    )
+    def test_noiseless_roundtrip_property(self, delta_nu, filter_fwhm, center, scale, transmission):
+        exponent = 2.0 if transmission == "intensity" else 1.0
+        total_fwhm = math.hypot(delta_nu, filter_fwhm / math.sqrt(exponent))
+        points = synthetic_sweep(
+            delta_nu, filter_fwhm, exponent=exponent, center=center, scale=scale, span=8.0 * total_fwhm
+        )
+        fit = fit_hsp_bandwidth(points, GaussianFilterSpec.from_amplitude_fwhm(filter_fwhm), transmission)
+        assert abs(fit.delta_nu_ghz - delta_nu) <= 1e-4
+        assert abs(fit.center_ghz - center) <= 1e-4
+        assert abs(fit.scale - scale) <= 1e-4
+        assert not fit.resolution_limited
+
     def test_monochromatic_input_flagged(self):
         # A photon line far narrower than anything the sweep can resolve
         # pushes the fit to its resolution floor and must be flagged.

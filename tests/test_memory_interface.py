@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import biphoton.joint_amplitude as joint_amplitude
 import biphoton.memory_interface as mi
 from biphoton.errors import ParameterError
 from biphoton.joint_amplitude import assemble_gated_jta
@@ -151,12 +152,45 @@ class TestMidpointLattice:
         assert np.allclose(t, -t[::-1], atol=1e-12)
 
     def test_narrow_gate_keeps_two_nodes_per_side(self):
-        # Each half of the folded lattice is a lattice of its own.  At
-        # t_hat = 0.1 the outer nodes lie outside the gate, so eta_in is
-        # that of the two inner nodes alone.
-        assert mi._midpoint_grid(0.05, 1.0 / 16.0).n_points == 4
+        # A gate narrower than three steps holds one node per side.
+        assert mi._midpoint_grid(0.05, 1.0 / 16.0).n_points == 2
         eta = read_in_efficiency(DesignPoint(t_hat=0.1, gamma_hat=0.9))
         assert eta == pytest.approx(0.4034206208633296, rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", ["gated", "ungated"])
+    @pytest.mark.parametrize("t_hat", [1.0 / 16.0, 0.1, 0.125, 3.0 / 16.0, 0.25])
+    def test_narrow_gate_matches_svd_oracle(self, t_hat, kernel):
+        # Down to t_hat = step, where the outer nodes sit on the gate edge.
+        assert_matches_svd_oracle(DesignPoint(t_hat, 0.9), True, kernel)
+
+    def test_gate_without_nodes_refused(self):
+        refusal = r"t_hat = 0\.05 is below the lattice step 1/points_per_sigma = 0\.0625"
+        with pytest.raises(ParameterError, match=refusal):
+            evaluate_design(DesignPoint(t_hat=0.05, gamma_hat=0.9))
+        assert read_in_efficiency(DesignPoint(t_hat=0.05, gamma_hat=0.9), include_gates=False) > 0.0
+        emap = sweep_design_space((0.04, 0.09), (0.5, 0.9), (2, 2))
+        assert np.isnan(emap.eta_in[0]).all() and np.isfinite(emap.eta_in[1]).all()
+        assert [(t, g) for t, g, _ in emap.failures] == [(0.04, 0.5), (0.04, 0.9)]
+        assert all("is below the lattice step" in message for _, _, message in emap.failures)
+
+    def test_design_evaluation_applies_no_gate_mask(self, monkeypatch):
+        # The gated lattice lies inside the gate, so a mask would only multiply by one.
+        calls = []
+        real = joint_amplitude.sample_gate
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(joint_amplitude, "sample_gate", spy)
+        evaluate_design(DesignPoint(t_hat=2.0, gamma_hat=0.9))
+        evaluate_design(DesignPoint(t_hat=0.1, gamma_hat=0.9), kernel="ungated")
+        sweep_design_space((2.0, 4.0), (0.3, 1.5), (2, 3))
+        assert calls == []
+        # assemble_gated_jta still masks, so the spy does see calls.
+        grid = TimeGrid(16, -1.0, 1.0)
+        assemble_gated_jta(PulseTrainSpec(1.0, 2.0), GaussianFilterSpec(0.9), TimeGateSpec(2.0), grid, grid)
+        assert len(calls) == 2
 
     def test_reference_norm_matches_closed_form(self):
         for gamma_hat in (0.3, 0.85, 2.0):
@@ -350,7 +384,7 @@ class TestSweep:
         finite = emap.eta_in[np.isfinite(emap.eta_in)]
         assert finite.size == 32
         assert finite.min() >= 0.0 and finite.max() <= 1.0 + 1e-6
-        assert emap.row_optimum_consistent()
+        assert (emap.eta_opt >= np.nanmax(emap.eta_in, axis=1)).all()
         assert emap.controls == {"n_side_pulses": 3, "points_per_sigma": 16}
         assert (emap.gamma_opt >= 0.1).all() and (emap.gamma_opt <= 2.0).all()
 
