@@ -20,7 +20,6 @@ import sys
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from .counting import (
     OpticalPath,
@@ -35,6 +34,7 @@ from .counting import (
 from .errors import BiphotonError, ParameterError
 from .formatting import json_sanitize
 from .joint_amplitude import (
+    MIN_SPECTRUM_POINTS,
     marginal_signal_spectrum,
     quadrature_marginal_fwhm,
     write_marginal_spectrum_csv,
@@ -46,12 +46,20 @@ from .memory_interface import (
     sweep_design_space,
     write_efficiency_map_csv,
 )
-from .signal_model import GaussianFilterSpec, TimeGrid
+from .signal_model import RESOLUTION_POINTS_PER_SIGMA, GaussianFilterSpec
 
 SCHEMA_VERSION = "1"
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Load the ``--config`` file, keyed by the command's other options, as its default map.
+
+    A value is stored as the text a flag would carry (JSON ``true`` is
+    ``true``), so click converts and checks it as a flag, a flag overrides
+    it and it may supply a required option; ``null`` keeps the default.
+    """
+    if path is None:
+        return
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -64,38 +72,14 @@ def _load_config_file(path: str) -> dict:
     schema = str(data.pop("schema", SCHEMA_VERSION))
     if schema != SCHEMA_VERSION:
         raise click.UsageError(f"unsupported config schema {schema!r}; expected {SCHEMA_VERSION!r}")
-    return data
-
-
-def _resolve_config(ctx: click.Context, required: tuple[str, ...]) -> dict:
-    """Merge ``--config`` file values under command-line flags.
-
-    The config names are the command's options other than ``--config``.
-    A file value is converted by its option's own click type, from the
-    text the command line would carry for it (JSON ``true`` is the text
-    ``true``), so a file accepts and rejects exactly what a flag does.
-    A JSON ``null`` leaves the option at its default.  Every ``required``
-    name must resolve to a value.
-    """
-    params = {param.name: param for param in ctx.command.params if param.name != "config_path"}
-    config_path = ctx.params["config_path"]
-    file_values = _load_config_file(config_path) if config_path else {}
-    unknown = sorted(set(file_values) - set(params))
+    unknown = sorted(set(data) - {option.name for option in ctx.command.params if option is not param})
     if unknown:
         raise click.UsageError(f"unknown config keys: {', '.join(unknown)}")
-    resolved = {}
-    for name, param in params.items():
-        source = ctx.get_parameter_source(name)
-        value = file_values.get(name)
-        if value is None or source not in (None, ParameterSource.DEFAULT):
-            resolved[name] = ctx.params[name]
-            continue
-        text = value if isinstance(value, str) else json.dumps(value)
-        resolved[name] = param.type.convert(text, param, ctx)
-    missing = [name for name in required if resolved[name] is None]
-    if missing:
-        raise click.UsageError("missing required parameter(s): " + ", ".join(missing))
-    return resolved
+    ctx.default_map = {
+        name: value if isinstance(value, str) else json.dumps(value)
+        for name, value in data.items()
+        if value is not None
+    }
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -112,8 +96,6 @@ def _tool_errors(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except click.ClickException:
-            raise
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(3)
@@ -133,38 +115,53 @@ def main() -> None:
     """Design and analysis tools for pulsed heralded single-photon sources."""
 
 
-def _command(name: str, *required: str, json_output: str = "output"):
+def _command(name: str, json_output: str = "output"):
     """Register ``body(cfg) -> results`` as the ``biphoton`` command ``name``.
 
-    The command gains ``--config`` (see `_resolve_config`) and the exit
-    codes of `_tool_errors`.  Its JSON, written to the ``json_output``
-    option or stdout, holds ``schema``, ``command``, the resolved
-    ``config`` without the output paths (options named ``output*``) and
-    the results.
+    ``cfg`` maps the command's options to their values.  The command gains
+    ``--config`` (see `_load_config`) and the exit codes of `_tool_errors`.
+    Its JSON, written to the ``json_output`` option or stdout, holds
+    ``schema``, ``command``, the ``config`` without the output paths
+    (options named ``output*``) and the results.
     """
 
     def register(body):
         @functools.wraps(body)
-        def run(ctx: click.Context, **_: object) -> None:
-            cfg = _resolve_config(ctx, required)
+        def run(**cfg: object) -> None:
             results = body(cfg)
             config = {key: value for key, value in cfg.items() if not key.startswith("output")}
             _emit_json({"schema": SCHEMA_VERSION, "command": name, "config": config, **results}, cfg[json_output])
 
-        command = main.command(name=name)(click.pass_context(_tool_errors(run)))
+        command = main.command(name=name)(_tool_errors(run))
         command.params.append(
-            click.Option(["--config", "config_path"], type=click.Path(dir_okay=False), help="JSON config file.")
+            click.Option(
+                ["--config", "config_path"],
+                type=click.Path(dir_okay=False),
+                is_eager=True,
+                expose_value=False,
+                callback=_load_config,
+                help="JSON config file.",
+            )
         )
         return command
 
     return register
 
 
-@_command("efficiency", "t_hat", "gamma_hat")
-@click.option("--t-hat", type=float, default=None, help="Gate/period in units of sigma_p.")
-@click.option("--gamma-hat", type=float, default=None, help="Filter constant times sigma_p.")
+_points_per_sigma = click.option(
+    "--points-per-sigma",
+    type=click.IntRange(min=RESOLUTION_POINTS_PER_SIGMA),
+    default=RESOLUTION_POINTS_PER_SIGMA,
+    show_default=True,
+    help="Lattice density.",
+)
+
+
+@_command("efficiency")
+@click.option("--t-hat", type=float, required=True, help="Gate/period in units of sigma_p.")
+@click.option("--gamma-hat", type=float, required=True, help="Filter constant times sigma_p.")
 @click.option("--side-pulses", type=click.IntRange(min=0), default=3, show_default=True, help="Train truncation M.")
-@click.option("--points-per-sigma", type=click.IntRange(min=16), default=16, show_default=True, help="Lattice density.")
+@_points_per_sigma
 @click.option(
     "--kernel",
     type=click.Choice(["gated", "ungated"]),
@@ -183,15 +180,15 @@ def efficiency(cfg: dict) -> dict:
     return {name: value for name, value in report.items() if name not in inputs}
 
 
-@_command("sweep", "t_min", "t_max", "gamma_min", "gamma_max", json_output="output_json")
-@click.option("--t-min", type=float, default=None)
-@click.option("--t-max", type=float, default=None)
+@_command("sweep", json_output="output_json")
+@click.option("--t-min", type=float, required=True)
+@click.option("--t-max", type=float, required=True)
 @click.option("--t-steps", type=click.IntRange(min=1), default=32, show_default=True)
-@click.option("--gamma-min", type=float, default=None)
-@click.option("--gamma-max", type=float, default=None)
+@click.option("--gamma-min", type=float, required=True)
+@click.option("--gamma-max", type=float, required=True)
 @click.option("--gamma-steps", type=click.IntRange(min=1), default=64, show_default=True)
 @click.option("--side-pulses", type=click.IntRange(min=0), default=3, show_default=True)
-@click.option("--points-per-sigma", type=click.IntRange(min=16), default=16, show_default=True)
+@_points_per_sigma
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Cell-by-cell efficiency CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
 def sweep(cfg: dict) -> dict:
@@ -214,39 +211,37 @@ def sweep(cfg: dict) -> dict:
     return efficiency_map_summary(emap)
 
 
-@_command("spectrum", "pump_fwhm_ghz", "filter_fwhm_ghz", json_output="output_json")
-@click.option("--pump-fwhm-ghz", type=float, default=None, help="Pump intensity-spectrum FWHM.")
-@click.option("--filter-fwhm-ghz", type=float, default=None, help="Idler filter amplitude FWHM.")
+@_command("spectrum", json_output="output_json")
+@click.option("--pump-fwhm-ghz", type=float, required=True, help="Pump intensity-spectrum FWHM.")
+@click.option("--filter-fwhm-ghz", type=float, required=True, help="Idler filter amplitude FWHM.")
 @click.option("--filter-center-ghz", type=float, default=0.0, show_default=True)
-@click.option("--points", type=click.IntRange(16, 1 << 20), default=2049, show_default=True, help="Frequency axis length.")
+@click.option(
+    "--points",
+    type=click.IntRange(MIN_SPECTRUM_POINTS, 1 << 20),
+    default=2049,
+    show_default=True,
+    help="Frequency axis length.",
+)
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Spectrum curve CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
 def spectrum(cfg: dict) -> dict:
     """Marginal spectrum of the heralded signal photon."""
-    quadrature = quadrature_marginal_fwhm(cfg["pump_fwhm_ghz"], cfg["filter_fwhm_ghz"])
-    center = -cfg["filter_center_ghz"]
-    half = 4.0 * quadrature
-    grid = TimeGrid(cfg["points"], center - half, center + half)
-    result = marginal_signal_spectrum(
-        cfg["pump_fwhm_ghz"],
-        cfg["filter_fwhm_ghz"],
-        grid=grid,
-        filter_center=cfg["filter_center_ghz"],
-    )
+    pump, filt = cfg["pump_fwhm_ghz"], cfg["filter_fwhm_ghz"]
+    result = marginal_signal_spectrum(pump, filt, n_points=cfg["points"], filter_center=cfg["filter_center_ghz"])
     if cfg["output_csv"] is not None:
         write_marginal_spectrum_csv(result, cfg["output_csv"])
     return {
         "fwhm_GHz": result.fwhm,
-        "quadrature_fwhm_GHz": quadrature,
+        "quadrature_fwhm_GHz": quadrature_marginal_fwhm(pump, filt),
         "peak_frequency_GHz": float(result.frequencies[int(np.argmax(result.intensity))]),
     }
 
 
-@_command("analyze", "counts_csv", "transmission", "detector_efficiency")
-@click.option("--counts-csv", type=click.Path(dir_okay=False), default=None, help="Input count records.")
-@click.option("--transmission", type=float, default=None, help="Heralding path transmission T_s.")
+@_command("analyze")
+@click.option("--counts-csv", type=click.Path(dir_okay=False), required=True, help="Input count records.")
+@click.option("--transmission", type=float, required=True, help="Heralding path transmission T_s.")
 @click.option("--transmission-err", type=float, default=0.0, show_default=True)
-@click.option("--detector-efficiency", type=float, default=None, help="Trigger detector efficiency.")
+@click.option("--detector-efficiency", type=float, required=True, help="Trigger detector efficiency.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON output path (stdout when omitted).")
 def analyze(cfg: dict) -> dict:
     """Reduce count records to heralding efficiencies, g2 and rate fits."""
@@ -319,9 +314,9 @@ def analyze(cfg: dict) -> dict:
     }
 
 
-@_command("fit-spectrum", "sweep_csv", "filter_fwhm_ghz")
-@click.option("--sweep-csv", type=click.Path(dir_okay=False), default=None, help="Detuning sweep CSV.")
-@click.option("--filter-fwhm-ghz", type=float, default=None, help="Scanning filter amplitude FWHM.")
+@_command("fit-spectrum")
+@click.option("--sweep-csv", type=click.Path(dir_okay=False), required=True, help="Detuning sweep CSV.")
+@click.option("--filter-fwhm-ghz", type=float, required=True, help="Scanning filter amplitude FWHM.")
 @click.option(
     "--transmission-model",
     type=click.Choice(["intensity", "amplitude"]),

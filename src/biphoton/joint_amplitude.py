@@ -21,7 +21,6 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError
 from .formatting import write_csv
 from .signal_model import (
-    FrequencyGrid,
     GaussianFilterSpec,
     PulseTrainSpec,
     TimeGateSpec,
@@ -35,6 +34,10 @@ from .signal_model import (
 
 TIME_DOMAIN = "time"
 FREQUENCY_DOMAIN = "frequency"
+
+# The marginal spectrum's axis spans +/-4 expected FWHM, and 8 samples per
+# FWHM resolve the line, so the axis needs at least 2 * 4 * 8 + 1 points.
+MIN_SPECTRUM_POINTS = 2 * 4 * 8 + 1
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ def quadrature_marginal_fwhm(pump_fwhm: float, filter_amplitude_fwhm: float) -> 
 def marginal_signal_spectrum(
     pump_fwhm: float,
     filter_amplitude_fwhm: float,
-    grid: FrequencyGrid | None = None,
+    n_points: int = 2049,
     filter_center: float = 0.0,
 ) -> MarginalSpectrum:
     """Marginal spectrum of the heralded signal photon.
@@ -184,37 +187,30 @@ def marginal_signal_spectrum(
 
         S(nu_s) = integral |T(nu_i - filter_center)|^2 |pump(nu_s + nu_i)|^2 dnu_i,
 
-    a product of two Gaussians in nu_i.  With the exponents a (filter)
-    and b (pump) the integral is the Gaussian
-    exp(-a b / (a + b) (nu_s + filter_center)^2), whose FWHM is
-    `quadrature_marginal_fwhm`; it is sampled on the grid and normalized
-    to unit sampled peak.  ``pump_fwhm`` is the pump intensity-spectrum
+    a product of two Gaussians in nu_i whose integral is the Gaussian
+    exp(-4 ln 2 (nu_s + filter_center)^2 / Q^2) of FWHM Q =
+    `quadrature_marginal_fwhm`.  It is sampled on ``n_points`` frequencies
+    spanning +/-4 Q about its centre -filter_center and normalized to
+    unit sampled peak.  ``pump_fwhm`` is the pump intensity-spectrum
     FWHM and ``filter_amplitude_fwhm`` the filter amplitude-transmission
     FWHM, both in the same frequency unit as the output axis.
 
-    Raises :class:`GridMismatchError` when a supplied grid is too coarse
-    to resolve the expected line (fewer than 8 samples per FWHM).
+    Raises :class:`GridMismatchError` when ``n_points`` is below
+    ``MIN_SPECTRUM_POINTS``, too few to resolve the line.
     """
     if pump_fwhm <= 0 or filter_amplitude_fwhm <= 0:
         raise ParameterError("pump and filter FWHM values must be positive")
     if not math.isfinite(filter_center):
         raise ParameterError("filter_center must be finite")
-
-    filter_intensity_fwhm = filter_amplitude_fwhm / math.sqrt(2.0)
-    expected_fwhm = quadrature_marginal_fwhm(pump_fwhm, filter_amplitude_fwhm)
-    if grid is None:
-        half = 4.0 * expected_fwhm
-        grid = TimeGrid(2049, -filter_center - half, -filter_center + half)
-    if expected_fwhm < 8.0 * grid.step:
+    if n_points < MIN_SPECTRUM_POINTS:
         raise GridMismatchError(
             "frequency grid too coarse: fewer than 8 samples across the expected FWHM"
         )
 
-    nu_s = grid.points
-    # Gaussian exponents of the two intensity profiles.
-    a = 4.0 * math.log(2.0) / filter_intensity_fwhm**2
-    b = 4.0 * math.log(2.0) / pump_fwhm**2
-    intensity = np.exp(-a * b / (a + b) * (nu_s + filter_center) ** 2)
+    expected_fwhm = quadrature_marginal_fwhm(pump_fwhm, filter_amplitude_fwhm)
+    half = 4.0 * expected_fwhm
+    nu_s = TimeGrid(n_points, -filter_center - half, -filter_center + half).points
+    intensity = np.exp(-4.0 * math.log(2.0) * ((nu_s + filter_center) / expected_fwhm) ** 2)
 
     peak = intensity.max()
     if peak <= 0:

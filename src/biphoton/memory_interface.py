@@ -28,7 +28,7 @@ from .errors import BiphotonError, DecompositionError, GridMismatchError, Parame
 from .formatting import write_csv
 from .joint_amplitude import jta_stack
 from .schmidt import support
-from .signal_model import PulseTrainSpec, TimeGrid
+from .signal_model import RESOLUTION_POINTS_PER_SIGMA, PulseTrainSpec, TimeGrid
 
 # Half-width, in units of the relevant scale, beyond which Gaussian
 # envelopes are treated as having no support (exp(-25) ~ 1e-11 in
@@ -56,13 +56,14 @@ class DesignPoint:
 
     ``n_side_pulses`` truncates the pump train to pulse indices
     [-M, M]; ``points_per_sigma`` sets the sampling density of all
-    lattices (at least 16, the resolution floor of the discretisation).
+    lattices (at least ``RESOLUTION_POINTS_PER_SIGMA``, the resolution
+    floor of the discretisation).
     """
 
     t_hat: float
     gamma_hat: float
     n_side_pulses: int = 3
-    points_per_sigma: int = 16
+    points_per_sigma: int = RESOLUTION_POINTS_PER_SIGMA
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_hat) and self.t_hat > 0):
@@ -71,8 +72,8 @@ class DesignPoint:
             raise ParameterError("gamma_hat must be positive and finite")
         if self.n_side_pulses < 0:
             raise ParameterError("n_side_pulses must be non-negative")
-        if self.points_per_sigma < 16:
-            raise ParameterError("points_per_sigma below the resolution floor of 16")
+        if self.points_per_sigma < RESOLUTION_POINTS_PER_SIGMA:
+            raise ParameterError(f"points_per_sigma below the resolution floor of {RESOLUTION_POINTS_PER_SIGMA}")
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,21 @@ def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
     restores second-order convergence of gated quadratures; an edge node
     at full weight would bias the effective gate width by half a step.
     The node count is even, so the lattice folds into two mirrored halves
-    (see `_schmidt_weights`).
+    (see `_schmidt_weights`).  A count above ``MAX_LATTICE_POINTS``, an
+    infinite one included, raises :class:`ParameterError` before the
+    grid is built.
     """
-    count = max(1, math.ceil(half_width / step - 0.5))
+    count = max(1.0, float(np.ceil(half_width / step - 0.5)))
+    n_points = 2 * count
+    if not n_points <= MAX_LATTICE_POINTS:
+        gigabytes = 3 * 4 * n_points * n_points / 1e9
+        raise ParameterError(
+            f"lattice of {n_points:.12g} x {n_points:.12g} points ({gigabytes:.3g} GB for "
+            f"the folded amplitude and its Gram matrices) exceeds the cap of {MAX_LATTICE_POINTS} "
+            "points per axis"
+        )
     edge = (count - 0.5) * step
-    return TimeGrid(2 * count, -edge, edge)
+    return TimeGrid(int(n_points), -edge, edge)
 
 
 def _local_half_width(gamma_hat: float) -> float:
@@ -124,8 +135,8 @@ def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
 
     Raises :class:`ParameterError` when the step does not resolve the
     filter response exp(-(gamma_hat t)^2), that is for gamma_hat >
-    points_per_sigma / 2; with gates, when t_hat < h; and, with the size
-    estimate, when the lattice exceeds ``MAX_LATTICE_POINTS``.
+    points_per_sigma / 2; with gates, when t_hat < h; and, from
+    `_midpoint_grid`, when the lattice exceeds ``MAX_LATTICE_POINTS``.
     """
     if point.gamma_hat > 0.5 * point.points_per_sigma:
         raise ParameterError(
@@ -143,15 +154,7 @@ def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
         half_width = min(0.5 * point.t_hat, local)
     else:
         half_width = point.n_side_pulses * point.t_hat + local
-    grid = _midpoint_grid(half_width, step)
-    if grid.n_points > MAX_LATTICE_POINTS:
-        gigabytes = 3 * 4 * float(grid.n_points) ** 2 / 1e9
-        raise ParameterError(
-            f"lattice of {grid.n_points} x {grid.n_points} points ({gigabytes:.3g} GB for "
-            f"the folded amplitude and its Gram matrices) exceeds the cap of {MAX_LATTICE_POINTS} "
-            "points per axis"
-        )
-    return grid
+    return _midpoint_grid(half_width, step)
 
 
 def _schmidt_weights(values: np.ndarray, step: float) -> np.ndarray:
@@ -383,7 +386,7 @@ def sweep_design_space(
     gamma_range: tuple[float, float],
     resolution: tuple[int, int],
     n_side_pulses: int = 3,
-    points_per_sigma: int = 16,
+    points_per_sigma: int = RESOLUTION_POINTS_PER_SIGMA,
     workers: int | None = None,
 ) -> EfficiencyMap:
     """Map the read-in efficiency over a rectangle of design points.

@@ -163,8 +163,11 @@ class TimeGateSpec:
 def train_amplitude(spec: PulseTrainSpec, t: np.ndarray) -> np.ndarray:
     """Amplitude of the pump pulse train at the times ``t``."""
     indices = np.arange(-spec.n_side_pulses, spec.n_side_pulses + 1)
-    centers = indices * spec.period
-    terms = np.exp(-(((t[None, :] - centers[:, None]) / spec.sigma_p) ** 2))
+    # A pulse so far away that its centre or squared offset overflows
+    # contributes exp(-inf) = 0, which is its value to double precision.
+    with np.errstate(over="ignore"):
+        centers = indices * spec.period
+        terms = np.exp(-(((t[None, :] - centers[:, None]) / spec.sigma_p) ** 2))
     return spec.amplitude * terms.sum(axis=0)
 
 

@@ -70,7 +70,40 @@ class TestEfficiencyCommand:
     def test_missing_required_parameter(self, runner):
         result = runner.invoke(main, ["efficiency", "--t-hat", "11"])
         assert result.exit_code == 2
-        assert "gamma_hat" in result.output
+        assert "--gamma-hat" in result.output
+
+    def test_config_null_leaves_default(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t_hat": 3.0, "gamma_hat": 0.9, "side_pulses": None, "kernel": None}))
+        payload = run_json(runner, ["efficiency", "--config", str(config)])
+        assert payload["config"]["side_pulses"] == 3 and payload["config"]["kernel"] == "gated"
+        flag = run_json(runner, ["efficiency", "--t-hat", "3", "--gamma-hat", "0.9"])
+        assert payload == flag
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"schema": "2", "t_hat": 3.0, "gamma_hat": 0.9}', "unsupported config schema '2'"),
+            ('{"t_hat": 3.0,', "config file is not valid JSON"),
+            ("[3.0, 0.9]", "config file must hold a JSON object"),
+            (None, "cannot read config file"),
+        ],
+    )
+    def test_unreadable_config_is_usage_error(self, runner, tmp_path, text, message):
+        config = tmp_path / "run.json"
+        if text is not None:
+            config.write_text(text)
+        result = runner.invoke(main, ["efficiency", "--config", str(config)])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_flags_override_config_file(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "use_gates": False, "points_per_sigma": 32}))
+        payload = run_json(runner, ["efficiency", "--config", str(config), "--gates", "--points-per-sigma", "16"])
+        assert payload["config"]["use_gates"] is True and payload["config"]["points_per_sigma"] == 16
+        flag = run_json(runner, ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85"])
+        assert payload == flag
 
     def test_config_string_false_disables_gates(self, runner, tmp_path):
         config = tmp_path / "run.json"
@@ -123,11 +156,18 @@ class TestEfficiencyCommand:
         assert result.exit_code == 4
 
     def test_lattice_over_cap_is_numerical_error(self, runner):
-        result = runner.invoke(main, ["efficiency", "--t-hat", "1e9", "--gamma-hat", "1", "--no-gates"])
-        assert result.exit_code == 4
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: lattice of ")
+        # The last three sizes overflow a float.
+        for t_hat, gamma_hat, gates in [
+            ("1e9", "1", "--no-gates"),
+            ("1e308", "1", "--no-gates"),
+            ("2", "1e-300", "--no-gates"),
+            ("1e300", "1e-300", "--gates"),
+        ]:
+            result = runner.invoke(main, ["efficiency", "--t-hat", t_hat, "--gamma-hat", gamma_hat, gates])
+            assert result.exit_code == 4, t_hat
+            assert result.stdout == ""
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: lattice of ")
 
     @pytest.mark.parametrize(
         "error",
@@ -194,6 +234,14 @@ class TestSweepCommand:
         assert runner.invoke(main, self.ARGS + ["--output-csv", str(second)]).exit_code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_required_options_from_config_file(self, runner, tmp_path):
+        names = ["t_min", "t_max", "gamma_min", "gamma_max"]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(dict(zip(names, [2.0, 4.0, 0.4, 1.2]))))
+        steps = ["--t-steps", "2", "--gamma-steps", "4"]
+        payload = run_json(runner, ["sweep", "--config", str(config), *steps])
+        assert payload == run_json(runner, self.ARGS)
+
     def test_unwritable_output_is_io_error(self, runner, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "map.csv"
         result = runner.invoke(main, self.ARGS + ["--output-csv", str(missing)])
@@ -242,12 +290,14 @@ class TestSpectrumCommand:
         )
         assert payload["fwhm_GHz"] == pytest.approx(707.107, rel=1e-3)
 
-    def test_coarse_grid_is_numerical_error(self, runner):
-        result = runner.invoke(
-            main,
-            ["spectrum", "--pump-fwhm-ghz", "1.3", "--filter-fwhm-ghz", "1.4", "--points", "17"],
-        )
-        assert result.exit_code == 4
+    def test_axis_floor_resolves_every_line(self, runner):
+        rng = np.random.default_rng(65)
+        for _ in range(200):
+            pump, filt = (10.0 ** rng.uniform(-2.0, 2.0, size=2)).tolist()
+            center = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0))
+            args = ["spectrum", "--pump-fwhm-ghz", repr(pump), "--filter-fwhm-ghz", repr(filt)]
+            result = runner.invoke(main, args + ["--filter-center-ghz", repr(center), "--points", "65"])
+            assert result.exit_code == 0, (pump, filt, center, result.output)
 
     def test_csv_artifact(self, runner, tmp_path):
         out = tmp_path / "spectrum.csv"
@@ -402,6 +452,8 @@ def command_args(tmp_path):
         ("sweep", "--points-per-sigma", "15"),
         ("sweep", "--t-steps", "0"),
         ("sweep", "--gamma-steps", "0"),
+        ("spectrum", "--points", "17"),
+        ("spectrum", "--points", "64"),
         ("spectrum", "--points", "1048577"),
     ],
 )

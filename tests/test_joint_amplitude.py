@@ -237,9 +237,13 @@ class TestMarginalSpectrum:
         assert peak == pytest.approx(-2.7, abs=2 * (shifted.frequencies[1] - shifted.frequencies[0]))
 
     def test_coarse_grid_raises(self):
-        grid = TimeGrid(17, -8.0, 8.0)
         with pytest.raises(GridMismatchError):
-            marginal_signal_spectrum(1.3, 1.4, grid=grid)
+            marginal_signal_spectrum(1.3, 1.4, n_points=17)
+
+    def test_vanishing_pump_width_is_filter_limited(self):
+        result = marginal_signal_spectrum(1e-320, 1.0)
+        expected = quadrature_marginal_fwhm(1e-320, 1.0)
+        assert abs(result.fwhm - expected) / expected <= 1e-3
 
     def test_non_positive_inputs_raise(self):
         with pytest.raises(ParameterError):

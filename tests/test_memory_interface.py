@@ -450,6 +450,15 @@ class TestSweep:
         assert (t_fail, g_fail) == (1e4, 0.01)
         assert "16160" in message
 
+    def test_cell_with_overflowing_lattice_is_a_failure(self):
+        emap = sweep_design_space((1e300, 1e300), (1e-300, 1.0), (1, 2))
+        assert math.isnan(emap.eta_in[0, 0])
+        assert emap.eta_in[0, 1] == read_in_efficiency(DesignPoint(1e300, 1.0))
+        assert len(emap.failures) == 1
+        t_fail, g_fail, message = emap.failures[0]
+        assert (t_fail, g_fail) == (1e300, 1e-300)
+        assert message.startswith("lattice of ") and "exceeds the cap" in message
+
     def test_cell_beyond_lattice_resolution_is_a_failure(self):
         emap = sweep_design_space((4.0, 4.0), (2.0, 12.0), (1, 3))
         assert np.isfinite(emap.eta_in[0, :2]).all() and math.isnan(emap.eta_in[0, 2])
