@@ -36,7 +36,6 @@ from .joint_amplitude import (
     JointAmplitude,
     MarginalSpectrum,
     assemble_gated_jta,
-    gating_loss,
     marginal_signal_spectrum,
     quadrature_marginal_fwhm,
     to_frequency_domain,
@@ -48,29 +47,23 @@ from .memory_interface import (
     evaluate_design,
     read_in_efficiency,
     sweep_design_space,
-    total_memory_efficiency,
 )
 from .schmidt import (
     SchmidtResult,
     fundamental_kernel,
-    purity_of,
     schmidt_decompose,
 )
 from .signal_model import (
-    FrequencyGrid,
     GaussianFilterSpec,
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
-    default_time_grid,
     duration_fwhm_from_sigma_p,
     filter_fwhm_from_gamma,
     gamma_from_filter_fwhm,
     half_maximum_width,
     pump_fwhm_from_sigma_p,
-    sample_filter_time,
     sample_gate,
-    sample_pump_train,
     sigma_p_from_duration_fwhm,
     sigma_p_from_pump_fwhm,
 )

@@ -25,7 +25,6 @@ from .signal_model import (
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
-    default_time_grid,
     half_maximum_width,
     sample_gate,
     train_amplitude,
@@ -78,21 +77,15 @@ def assemble_gated_jta(
     train: PulseTrainSpec,
     filt: GaussianFilterSpec,
     gates: TimeGateSpec | None = None,
-    grid_i: TimeGrid | None = None,
-    grid_s: TimeGrid | None = None,
+    *,
+    grid_i: TimeGrid,
+    grid_s: TimeGrid,
 ) -> JointAmplitude:
-    """Assemble the (optionally gated) joint temporal amplitude.
+    """Assemble the (optionally gated) joint temporal amplitude on the idler and signal grids.
 
-    ``gates=None`` leaves the state ungated.  When no grids are given the
-    shared default time axis of `default_time_grid` is used for both
-    photons.  Gated assembly skips the train-coverage warning because the
-    gate crops the train on purpose.
+    ``gates=None`` leaves the state ungated.  Gated assembly skips the
+    train-coverage warning because the gate crops the train on purpose.
     """
-    if grid_i is None and grid_s is None:
-        grid_i = grid_s = default_time_grid(train, filt)
-    elif grid_i is None or grid_s is None:
-        raise GridMismatchError("provide both grids or neither")
-
     values = jta_stack(train, np.array([filt.gamma]), grid_i.points, grid_s.points)[0]
     if gates is None:
         warn_if_train_cropped(train, grid_s)
@@ -191,12 +184,15 @@ def marginal_signal_spectrum(
     exp(-4 ln 2 (nu_s + filter_center)^2 / Q^2) of FWHM Q =
     `quadrature_marginal_fwhm`.  It is sampled on ``n_points`` frequencies
     spanning +/-4 Q about its centre -filter_center and normalized to
-    unit sampled peak.  ``pump_fwhm`` is the pump intensity-spectrum
+    unit sampled peak; the curve and its FWHM are computed on the offsets
+    from the centre.  ``pump_fwhm`` is the pump intensity-spectrum
     FWHM and ``filter_amplitude_fwhm`` the filter amplitude-transmission
     FWHM, both in the same frequency unit as the output axis.
 
     Raises :class:`GridMismatchError` when ``n_points`` is below
-    ``MIN_SPECTRUM_POINTS``, too few to resolve the line.
+    ``MIN_SPECTRUM_POINTS``, too few to resolve the line, and
+    :class:`ParameterError` when the centre is so far out that float64
+    cannot tell the axis points apart.
     """
     if pump_fwhm <= 0 or filter_amplitude_fwhm <= 0:
         raise ParameterError("pump and filter FWHM values must be positive")
@@ -208,37 +204,21 @@ def marginal_signal_spectrum(
         )
 
     expected_fwhm = quadrature_marginal_fwhm(pump_fwhm, filter_amplitude_fwhm)
-    half = 4.0 * expected_fwhm
-    nu_s = TimeGrid(n_points, -filter_center - half, -filter_center + half).points
-    intensity = np.exp(-4.0 * math.log(2.0) * ((nu_s + filter_center) / expected_fwhm) ** 2)
+    offsets = TimeGrid(n_points, -4.0 * expected_fwhm, 4.0 * expected_fwhm).points
+    nu_s = offsets - filter_center
+    if not (nu_s[1:] > nu_s[:-1]).all():
+        raise ParameterError(
+            f"filter centre {filter_center:g} is too far out for a frequency axis of step "
+            f"{offsets[1] - offsets[0]:g}: float64 cannot resolve it there"
+        )
+    intensity = np.exp(-4.0 * math.log(2.0) * (offsets / expected_fwhm) ** 2)
 
     peak = intensity.max()
     if peak <= 0:
         raise ParameterError("marginal spectrum vanished on the supplied grid")
     intensity = intensity / peak
-    fwhm = half_maximum_width(nu_s, intensity)
+    fwhm = half_maximum_width(offsets, intensity)
     return MarginalSpectrum(frequencies=nu_s, intensity=intensity, fwhm=fwhm)
-
-
-def gating_loss(gated: JointAmplitude, reference: JointAmplitude) -> float:
-    """Fraction of the reference norm squared surviving in the gated state."""
-    if gated.domain != reference.domain:
-        raise GridMismatchError("gated and reference amplitudes live in different domains")
-    if gated.axis_i != reference.axis_i or gated.axis_s != reference.axis_s:
-        raise GridMismatchError("gated and reference amplitudes use different grids")
-    denom = reference.norm_squared
-    if denom <= 0:
-        raise ParameterError("reference amplitude has zero norm")
-    return gated.norm_squared / denom
-
-
-def write_joint_amplitude_csv(jta: JointAmplitude, path: str) -> None:
-    """Write the sampled amplitude as CSV rows (axis_i, axis_s, re, im)."""
-    prefix = "t" if jta.domain == TIME_DOMAIN else "nu"
-    x_i, x_s = np.meshgrid(jta.axis_i.points, jta.axis_s.points, indexing="ij")
-    values = np.asarray(jta.values, dtype=complex).ravel()
-    rows = np.column_stack([x_i.ravel(), x_s.ravel(), values.real, values.imag])
-    write_csv(path, [f"{prefix}_i", f"{prefix}_s", "re", "im"], rows)
 
 
 def write_marginal_spectrum_csv(spectrum: MarginalSpectrum, path: str) -> None:

@@ -495,14 +495,6 @@ def sweep_design_space(
     )
 
 
-def total_memory_efficiency(eta_in: float, eta_ret: float) -> float:
-    """Combined write/read efficiency of the memory interface."""
-    for name, value in (("eta_in", eta_in), ("eta_ret", eta_ret)):
-        if not (0.0 <= value <= 1.0 + 1e-6):
-            raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
-    return eta_in * eta_ret
-
-
 def write_efficiency_map_csv(emap: EfficiencyMap, path: str) -> None:
     """Write the sweep as CSV rows (t_hat, gamma_hat, eta_in) in row-major order."""
     t_hat, gamma_hat = np.meshgrid(emap.t_values, emap.gamma_values, indexing="ij")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, DegenerateModeWarning, ParameterError
-from .formatting import write_csv
 from .joint_amplitude import JointAmplitude
 from .signal_model import TimeGrid
 
@@ -132,11 +131,6 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     )
 
 
-def purity_of(jta: JointAmplitude) -> float:
-    """Heralded single-photon purity sum_k lambda_k^4 of a joint amplitude."""
-    return schmidt_decompose(jta, k_max=1).purity
-
-
 def fundamental_kernel(result: SchmidtResult) -> np.ndarray:
     """Signal-side fundamental mode, the natural memory read-in kernel.
 
@@ -152,26 +146,3 @@ def fundamental_kernel(result: SchmidtResult) -> np.ndarray:
             stacklevel=2,
         )
     return result.signal_modes[0]
-
-
-def schmidt_result_to_dict(result: SchmidtResult, n_values: int | None = None) -> dict:
-    """JSON-friendly summary of a Schmidt decomposition."""
-    coeffs = result.singular_values
-    if n_values is not None:
-        coeffs = coeffs[:n_values]
-    return {
-        "lambda_sq": [float(c) ** 2 for c in coeffs],
-        "purity": result.purity,
-        "schmidt_number": result.schmidt_number,
-        "tail_mass": result.tail_mass,
-        "n_modes_stored": int(result.signal_modes.shape[0]),
-    }
-
-
-def write_modes_csv(result: SchmidtResult, path: str, n_modes: int | None = None) -> None:
-    """Write the signal-side mode functions as CSV columns."""
-    k = result.signal_modes.shape[0] if n_modes is None else min(n_modes, result.signal_modes.shape[0])
-    modes = np.asarray(result.signal_modes[:k], dtype=complex)
-    header = ["t_s"] + [f"mode{mode}_{part}" for mode in range(k) for part in ("re", "im")]
-    rows = np.column_stack([result.axis_s.points] + [part for mode in modes for part in (mode.real, mode.imag)])
-    write_csv(path, header, rows)

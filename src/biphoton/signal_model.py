@@ -28,6 +28,10 @@ SQRT_LN2 = math.sqrt(math.log(2.0))
 # samples per sigma_p.
 RESOLUTION_POINTS_PER_SIGMA = 16
 
+# A pulse centred more than this many sigma_p from a time adds
+# exp(-28^2) there, which underflows to exactly 0.0.
+PULSE_REACH = 28.0
+
 
 def _require_positive(name: str, value: float) -> None:
     if not math.isfinite(value) or value <= 0:
@@ -55,27 +59,13 @@ class TimeGrid:
         return (self.t_max - self.t_min) / (self.n_points - 1)
 
     @property
-    def span(self) -> float:
-        return self.t_max - self.t_min
-
-    @property
     def points(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.n_points)
-
-    def resolves(self, sigma_p: float) -> bool:
-        """True when the step resolves a pulse of width ``sigma_p``."""
-        _require_positive("sigma_p", sigma_p)
-        limit = sigma_p / RESOLUTION_POINTS_PER_SIGMA
-        return self.step <= limit * (1.0 + 1e-12)
-
-
-# Frequency axes carry the same structure as time axes.
-FrequencyGrid = TimeGrid
 
 
 @dataclass(frozen=True)
 class PulseTrainSpec:
-    """Train of Gaussian pump pulses ``amplitude * exp(-(t - j*period)^2 / sigma_p^2)``.
+    """Train of Gaussian pump pulses ``exp(-(t - j*period)^2 / sigma_p^2)``.
 
     ``sigma_p`` is the amplitude 1/e half-width of a single pulse and the
     train runs over pulse indices ``j in [-n_side_pulses, n_side_pulses]``.
@@ -84,20 +74,12 @@ class PulseTrainSpec:
     sigma_p: float
     period: float
     n_side_pulses: int = 3
-    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         _require_positive("sigma_p", self.sigma_p)
         _require_positive("period", self.period)
         if self.n_side_pulses < 0:
             raise ParameterError("n_side_pulses must be non-negative")
-        if not math.isfinite(self.amplitude):
-            raise ParameterError("amplitude must be finite")
-
-    @property
-    def t_hat(self) -> float:
-        """Pulse period in units of sigma_p."""
-        return self.period / self.sigma_p
 
     @property
     def span(self) -> float:
@@ -126,11 +108,6 @@ class GaussianFilterSpec:
         """FWHM of the amplitude transmission spectrum."""
         return filter_fwhm_from_gamma(self.gamma)
 
-    @property
-    def intensity_fwhm(self) -> float:
-        """FWHM of the intensity transmission spectrum (amplitude FWHM / sqrt 2)."""
-        return self.amplitude_fwhm / math.sqrt(2.0)
-
     @classmethod
     def from_amplitude_fwhm(cls, fwhm: float) -> "GaussianFilterSpec":
         return cls(gamma=gamma_from_filter_fwhm(fwhm))
@@ -151,24 +128,25 @@ class TimeGateSpec:
         if not math.isfinite(self.center):
             raise ParameterError("center must be finite")
 
-    @property
-    def lower(self) -> float:
-        return self.center - 0.5 * self.width
-
-    @property
-    def upper(self) -> float:
-        return self.center + 0.5 * self.width
-
 
 def train_amplitude(spec: PulseTrainSpec, t: np.ndarray) -> np.ndarray:
-    """Amplitude of the pump pulse train at the times ``t``."""
-    indices = np.arange(-spec.n_side_pulses, spec.n_side_pulses + 1)
+    """Amplitude of the pump pulse train at the times ``t``.
+
+    Only the pulses whose centres lie within ``PULSE_REACH`` sigma_p of
+    the times are summed, so the cost does not grow with
+    ``n_side_pulses``; every other pulse adds exactly 0.0.
+    """
+    reach = PULSE_REACH * spec.sigma_p
     # A pulse so far away that its centre or squared offset overflows
     # contributes exp(-inf) = 0, which is its value to double precision.
+    # The index bounds overflow to +/-inf at a tiny period, so they are
+    # clamped to +/-M before they become integers.
     with np.errstate(over="ignore"):
-        centers = indices * spec.period
+        first = max(-spec.n_side_pulses, float(np.ceil((t.min() - reach) / spec.period)))
+        last = min(spec.n_side_pulses, float(np.floor((t.max() + reach) / spec.period)))
+        centers = np.arange(int(first), int(last) + 1) * spec.period
         terms = np.exp(-(((t[None, :] - centers[:, None]) / spec.sigma_p) ** 2))
-    return spec.amplitude * terms.sum(axis=0)
+    return terms.sum(axis=0)
 
 
 def warn_if_train_cropped(spec: PulseTrainSpec, grid: TimeGrid) -> None:
@@ -180,17 +158,6 @@ def warn_if_train_cropped(spec: PulseTrainSpec, grid: TimeGrid) -> None:
             CoverageWarning,
             stacklevel=3,
         )
-
-
-def sample_pump_train(spec: PulseTrainSpec, grid: TimeGrid) -> np.ndarray:
-    """Amplitude of the pump pulse train on ``grid``, warning as `warn_if_train_cropped`."""
-    warn_if_train_cropped(spec, grid)
-    return train_amplitude(spec, grid.points)
-
-
-def sample_filter_time(spec: GaussianFilterSpec, grid: TimeGrid) -> np.ndarray:
-    """Filter time response exp(-(gamma t)^2) on ``grid``."""
-    return np.exp(-((spec.gamma * grid.points) ** 2))
 
 
 def sample_gate(spec: TimeGateSpec, grid: TimeGrid) -> np.ndarray:
@@ -269,16 +236,3 @@ def half_maximum_width(x: np.ndarray, y: np.ndarray) -> float:
     j = k + below_right[0]
     x_right = x[j - 1] + (half - y[j - 1]) * (x[j] - x[j - 1]) / (y[j] - y[j - 1])
     return float(x_right - x_left)
-
-
-def default_time_grid(train: PulseTrainSpec, filt: GaussianFilterSpec, n_points: int = 1024) -> TimeGrid:
-    """Symmetric time axis covering the pulse train and the filter response.
-
-    The half-width is ``max(train.span, 4 / gamma)`` and ``n_points``
-    grows when needed so the step stays at or below ``sigma_p / 16``.
-    """
-    if n_points < 2:
-        raise ParameterError("n_points must be at least 2")
-    half = max(train.span, 4.0 / filt.gamma)
-    needed = math.ceil(2.0 * half * RESOLUTION_POINTS_PER_SIGMA / train.sigma_p) + 1
-    return TimeGrid(max(n_points, needed), -half, half)

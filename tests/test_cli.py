@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +13,11 @@ from click.testing import CliRunner
 
 from test_counting import convolved_line
 
+import biphoton
 import biphoton.cli as cli
 from biphoton.cli import main
 from biphoton.counting import SweepPoint, write_sweep_csv
-from biphoton.joint_amplitude import JointAmplitude, write_joint_amplitude_csv
 from biphoton.memory_interface import DesignPoint, read_in_efficiency
-from biphoton.schmidt import schmidt_decompose, write_modes_csv
-from biphoton.signal_model import TimeGrid
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -299,6 +299,18 @@ class TestSpectrumCommand:
             result = runner.invoke(main, args + ["--filter-center-ghz", repr(center), "--points", "65"])
             assert result.exit_code == 0, (pump, filt, center, result.output)
 
+    FAR = ["spectrum", "--pump-fwhm-ghz", "1", "--filter-fwhm-ghz", "1", "--filter-center-ghz"]
+
+    def test_far_centre_width_is_exact(self, runner):
+        payload = run_json(runner, self.FAR + ["-1e12"])
+        assert payload["fwhm_GHz"] == pytest.approx(payload["quadrature_fwhm_GHz"], rel=1e-8)
+
+    def test_unresolvable_centre_is_numerical_error(self, runner):
+        # At 1e15 the float spacing (0.125) exceeds the axis step (0.0048).
+        result = runner.invoke(main, self.FAR + ["-1e15"])
+        assert result.exit_code == 4
+        assert "too far out" in result.output
+
     def test_csv_artifact(self, runner, tmp_path):
         out = tmp_path / "spectrum.csv"
         result = runner.invoke(
@@ -474,6 +486,30 @@ def test_out_of_range_integer_option_is_usage_error(runner, tmp_path, command, o
     assert f"'{option}'" in result.output and value in result.output
 
 
+def readme_api():
+    """Name -> module of each name listed in the README's Python API section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    names = {}
+    for line in section.splitlines():
+        if line.startswith("### "):
+            module = line.strip("#` ")
+        elif line.startswith("- "):
+            for name in re.findall(r"`(\w+)`", line.split(" — ", 1)[0]):
+                names[name] = module
+    return names
+
+
+def test_package_exports_match_readme_api():
+    documented = readme_api()
+    exported = {
+        name for name, value in vars(biphoton).items() if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(documented) == exported
+    for name, module in documented.items():
+        assert getattr(biphoton, name).__module__ == module, name
+
+
 @pytest.mark.parametrize("command", ["efficiency", "sweep", "spectrum", "analyze", "fit-spectrum"])
 def test_config_echoes_every_option(runner, tmp_path, command):
     payload = run_json(runner, command_args(tmp_path)[command])
@@ -488,11 +524,7 @@ def test_csv_artifacts_end_lines_with_lf(runner, tmp_path):
     args = command_args(tmp_path)
     assert runner.invoke(main, args["spectrum"] + ["--output-csv", str(spectrum_csv)]).exit_code == 0
     assert runner.invoke(main, args["sweep"] + ["--output-csv", str(map_csv)]).exit_code == 0
-    grid = TimeGrid(4, -1.0, 1.0)
-    jta = JointAmplitude(np.outer([1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 3.0, 2.0]), grid, grid)
-    write_joint_amplitude_csv(jta, str(tmp_path / "jta.csv"))
-    write_modes_csv(schmidt_decompose(jta, k_max=1), str(tmp_path / "modes.csv"))
     write_sweep_csv([SweepPoint(-1.0, 0.5), SweepPoint(0.0, 1.0)], str(tmp_path / "sweep-out.csv"))
-    for name in ("spectrum.csv", "map.csv", "jta.csv", "modes.csv", "sweep-out.csv"):
+    for name in ("spectrum.csv", "map.csv", "sweep-out.csv"):
         data = (tmp_path / name).read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data, name

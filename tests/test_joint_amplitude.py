@@ -8,11 +8,9 @@ from biphoton.joint_amplitude import (
     FREQUENCY_DOMAIN,
     JointAmplitude,
     assemble_gated_jta,
-    gating_loss,
     marginal_signal_spectrum,
     quadrature_marginal_fwhm,
     to_frequency_domain,
-    write_joint_amplitude_csv,
     write_marginal_spectrum_csv,
 )
 from biphoton.signal_model import (
@@ -60,7 +58,7 @@ class TestAssembly:
         filt = GaussianFilterSpec(gamma=0.6)
         gate = TimeGateSpec(width=1.7)
         grid = TimeGrid(21, -2.5, 2.5)
-        jta = assemble_gated_jta(train, filt, gate, grid, grid)
+        jta = assemble_gated_jta(train, filt, gate, grid_i=grid, grid_s=grid)
 
         t = grid.points
         for i in (0, 7, 13, 20):
@@ -76,7 +74,7 @@ class TestAssembly:
         train = PulseTrainSpec(sigma_p=1.0, period=2.0)
         filt = GaussianFilterSpec(gamma=0.5)
         grid = TimeGrid(81, -4.0, 4.0)
-        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=2.0), grid, grid)
+        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=2.0), grid_i=grid, grid_s=grid)
         outside = np.abs(grid.points) > 1.0 + 1e-12
         assert np.abs(jta.values[outside, :]).max() == 0.0
         assert np.abs(jta.values[:, outside]).max() == 0.0
@@ -87,8 +85,8 @@ class TestAssembly:
         half = 5.0 + 5.0 / filt.gamma
         grid = TimeGrid(301, -half, half)
         wide_gate = TimeGateSpec(width=10.0 + 10.0 / filt.gamma + 4.0)
-        gated = assemble_gated_jta(train, filt, wide_gate, grid, grid)
-        ungated = assemble_gated_jta(train, filt, None, grid, grid)
+        gated = assemble_gated_jta(train, filt, wide_gate, grid_i=grid, grid_s=grid)
+        ungated = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
         diff = np.linalg.norm(gated.values - ungated.values)
         assert diff <= 1e-12 * np.linalg.norm(ungated.values)
 
@@ -100,25 +98,19 @@ class TestAssembly:
         half = train.span + 5.0 / filt.gamma
         n = int(math.ceil(2 * half * 16)) + 1
         grid = TimeGrid(n, -half, half)
-        gated = assemble_gated_jta(train, filt, TimeGateSpec(width=2.0), grid, grid)
-        ungated = assemble_gated_jta(train, filt, None, grid, grid)
-        removed = 1.0 - gating_loss(gated, ungated)
+        gated = assemble_gated_jta(train, filt, TimeGateSpec(width=2.0), grid_i=grid, grid_s=grid)
+        ungated = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
+        removed = 1.0 - gated.norm_squared / ungated.norm_squared
         assert removed > 0.05
 
     def test_huge_gamma_confines_to_diagonal(self):
         train = PulseTrainSpec(sigma_p=1.0, period=2.0, n_side_pulses=0)
         filt = GaussianFilterSpec(gamma=200.0)
         grid = TimeGrid(161, -5.0, 5.0)  # step 1/16
-        jta = assemble_gated_jta(train, filt, None, grid, grid)
+        jta = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
         t = grid.points
         off = np.abs(t[:, None] - t[None, :]) > grid.step * (1 + 1e-9)
         assert np.abs(jta.values[off]).max() < 1e-30
-
-    def test_single_grid_argument_rejected(self):
-        train = PulseTrainSpec(sigma_p=1.0, period=2.0)
-        filt = GaussianFilterSpec(gamma=1.0)
-        with pytest.raises(GridMismatchError):
-            assemble_gated_jta(train, filt, None, TimeGrid(8, -1, 1), None)
 
 
 class TestFrequencyDomain:
@@ -153,7 +145,7 @@ class TestFrequencyDomain:
         train = PulseTrainSpec(sigma_p=1.0, period=5.0, n_side_pulses=0)
         filt = GaussianFilterSpec(gamma=1e-3)
         grid = TimeGrid(512, -16.0, 16.0)
-        spectral = to_frequency_domain(assemble_gated_jta(train, filt, None, grid, grid))
+        spectral = to_frequency_domain(assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid))
         marginal = (np.abs(spectral.values) ** 2).sum(axis=0) * spectral.axis_i.step
         fwhm = half_maximum_width(spectral.axis_s.points, marginal)
         assert abs(fwhm - pump_fwhm_from_sigma_p(1.0)) <= spectral.axis_s.step
@@ -166,7 +158,7 @@ class TestFrequencyDomain:
         half = train.span
         n = 1 << 10
         grid = TimeGrid(n, -half, half)
-        spectral = to_frequency_domain(assemble_gated_jta(train, filt, None, grid, grid))
+        spectral = to_frequency_domain(assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid))
         marginal = (np.abs(spectral.values) ** 2).sum(axis=0)
         nu = spectral.axis_s.points
         keep = np.abs(nu) < 0.4
@@ -252,34 +244,7 @@ class TestMarginalSpectrum:
             marginal_signal_spectrum(1.3, -1.0)
 
 
-class TestGatingLoss:
-    def test_value_and_errors(self):
-        grid = TimeGrid(16, -1.0, 1.0)
-        ones = JointAmplitude(np.ones((16, 16)), grid, grid)
-        half = JointAmplitude(np.full((16, 16), 0.5), grid, grid)
-        assert gating_loss(half, ones) == pytest.approx(0.25, rel=1e-12)
-        other = TimeGrid(16, -2.0, 2.0)
-        with pytest.raises(GridMismatchError):
-            gating_loss(half, JointAmplitude(np.ones((16, 16)), other, other))
-        zero = JointAmplitude(np.zeros((16, 16)), grid, grid)
-        with pytest.raises(ParameterError):
-            gating_loss(half, zero)
-
-
 class TestSerialization:
-    def test_joint_amplitude_csv_roundtrip(self, tmp_path):
-        grid = TimeGrid(3, 0.0, 1.0)
-        values = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 0.125], [1e-3, 0.0, 7.0]]) * (1 + 0.5j)
-        jta = JointAmplitude(values, grid, grid)
-        path = tmp_path / "jta.csv"
-        write_joint_amplitude_csv(jta, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t_i,t_s,re,im"
-        assert len(lines) == 1 + 9
-        cells = lines[1].split(",")
-        assert float(cells[2]) == pytest.approx(1.0)
-        assert float(cells[3]) == pytest.approx(0.5)
-
     def test_marginal_csv_header_and_formatting(self, tmp_path):
         result = marginal_signal_spectrum(1.3, 1.4)
         path = tmp_path / "marginal.csv"

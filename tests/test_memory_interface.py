@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -17,7 +18,6 @@ from biphoton.memory_interface import (
     evaluate_design,
     read_in_efficiency,
     sweep_design_space,
-    total_memory_efficiency,
     write_efficiency_map_csv,
 )
 from biphoton.schmidt import schmidt_decompose, support
@@ -69,11 +69,11 @@ def ungated_kernel_eta_by_svd(point, include_gates=True):
     else:
         grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
         gates = None
-    jta = assemble_gated_jta(train, filt, gates, grid, grid)
+    jta = assemble_gated_jta(train, filt, gates, grid_i=grid, grid_s=grid)
 
     wide = midpoint_grid(max(local, grid.t_max + 0.5 * step), step)
     single = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=0)
-    mode = schmidt_decompose(assemble_gated_jta(single, filt, None, wide, wide), k_max=1).signal_modes[0]
+    mode = schmidt_decompose(assemble_gated_jta(single, filt, grid_i=wide, grid_s=wide), k_max=1).signal_modes[0]
     offset = (wide.n_points - grid.n_points) // 2
     assert np.allclose(wide.points[offset : offset + grid.n_points], grid.points, rtol=0.0, atol=1e-12)
     kernel = mode[offset : offset + grid.n_points]
@@ -95,10 +95,10 @@ def svd_report(point, include_gates=True, kernel="gated"):
     filt = GaussianFilterSpec(gamma=point.gamma_hat)
     if include_gates:
         grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
-        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid, grid)
+        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid_i=grid, grid_s=grid)
     else:
         grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
-        jta = assemble_gated_jta(train, filt, None, grid, grid)
+        jta = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
     weights = np.linalg.svd(jta.values, compute_uv=False) ** 2 * step * step
     reference = reference_norm_lattice_sum(point.gamma_hat, step)
     lambda_sq = weights / weights.sum()
@@ -189,7 +189,8 @@ class TestMidpointLattice:
         assert calls == []
         # assemble_gated_jta still masks, so the spy does see calls.
         grid = TimeGrid(16, -1.0, 1.0)
-        assemble_gated_jta(PulseTrainSpec(1.0, 2.0), GaussianFilterSpec(0.9), TimeGateSpec(2.0), grid, grid)
+        train, filt = PulseTrainSpec(1.0, 2.0), GaussianFilterSpec(0.9)
+        assemble_gated_jta(train, filt, TimeGateSpec(2.0), grid_i=grid, grid_s=grid)
         assert len(calls) == 2
 
     def test_reference_norm_matches_closed_form(self):
@@ -214,6 +215,12 @@ class TestReadInEfficiency:
     def test_huge_gate_fast_and_exact(self):
         eta = read_in_efficiency(DesignPoint(t_hat=1e9, gamma_hat=0.2))
         assert eta == pytest.approx(closed_form_top_weight(0.2), abs=5e-4)
+
+    def test_far_side_pulses_change_nothing(self):
+        # Pulses beyond the lattice's reach are skipped, not allocated.
+        far = evaluate_design(DesignPoint(t_hat=11.0, gamma_hat=0.85, n_side_pulses=10**15))
+        near = evaluate_design(DesignPoint(t_hat=11.0, gamma_hat=0.85, n_side_pulses=3))
+        assert dataclasses.replace(far, point=near.point) == near
 
     def test_gates_disabled_single_pulse_identity(self):
         point = DesignPoint(t_hat=4.0, gamma_hat=0.7, n_side_pulses=0)
@@ -517,10 +524,3 @@ class TestSerializationAndComposition:
         assert len(payload["gamma_opt"]) == 2
         assert payload["failures"] == []
         assert payload["controls"]["points_per_sigma"] == 16
-
-    def test_total_memory_efficiency(self):
-        assert total_memory_efficiency(0.8, 0.5) == pytest.approx(0.4)
-        with pytest.raises(ParameterError):
-            total_memory_efficiency(1.2, 0.5)
-        with pytest.raises(ParameterError):
-            total_memory_efficiency(0.5, -0.1)

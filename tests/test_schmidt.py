@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from biphoton.errors import DegenerateModeWarning, ParameterError
 from biphoton.joint_amplitude import JointAmplitude, assemble_gated_jta, to_frequency_domain
-from biphoton.schmidt import (
-    fundamental_kernel,
-    purity_of,
-    schmidt_decompose,
-    schmidt_result_to_dict,
-    support,
-    write_modes_csv,
-)
+from biphoton.schmidt import fundamental_kernel, schmidt_decompose, support
 from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGrid
 
 
@@ -31,7 +24,7 @@ def double_gaussian_jta(gamma_hat, points_per_sigma=16):
     half = 5.0 * (1.0 + 1.0 / gamma_hat)
     n = int(math.ceil(2 * half * points_per_sigma)) + 1
     grid = TimeGrid(n, -half, half)
-    return assemble_gated_jta(train, filt, None, grid, grid)
+    return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
 
 
 def padded_single_pulse_jta(sigma_p, gamma_hat, padding, points_per_sigma=8):
@@ -42,7 +35,7 @@ def padded_single_pulse_jta(sigma_p, gamma_hat, padding, points_per_sigma=8):
     half = padding * 5.0 * (sigma_p + sigma_p / gamma_hat)
     n = int(math.ceil(2 * half * points_per_sigma / sigma_p)) + 1
     grid = TimeGrid(n, -half, half)
-    return assemble_gated_jta(train, filt, None, grid, grid)
+    return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
 
 
 def full_svd_oracle(jta, k_max):
@@ -93,7 +86,7 @@ class TestSpectrumInvariants:
 
     @pytest.mark.parametrize("gamma_hat", [0.3, 0.7615, 1.0, 2.0, 3.0])
     def test_double_gaussian_matches_closed_form(self, gamma_hat):
-        purity = purity_of(double_gaussian_jta(gamma_hat))
+        purity = schmidt_decompose(double_gaussian_jta(gamma_hat), k_max=1).purity
         assert abs(purity - closed_form_purity(gamma_hat)) <= 1e-3
 
     def test_purity_matches_partial_trace(self):
@@ -107,15 +100,16 @@ class TestSpectrumInvariants:
         trace = np.trace(rho).real * grid_s.step
         trace_sq = np.trace(rho @ rho).real * grid_s.step**2
         expected = trace_sq / trace**2
-        assert purity_of(jta) == pytest.approx(expected, rel=1e-10)
+        assert schmidt_decompose(jta, k_max=1).purity == pytest.approx(expected, rel=1e-10)
 
     def test_purity_domain_invariant(self):
         jta = double_gaussian_jta(0.7615)
         spectral = to_frequency_domain(jta)
-        assert abs(purity_of(spectral) - purity_of(jta)) <= 1e-6
+        purities = [schmidt_decompose(state, k_max=1).purity for state in (spectral, jta)]
+        assert abs(purities[0] - purities[1]) <= 1e-6
 
     def test_narrowband_filter_raises_purity(self):
-        purities = [purity_of(double_gaussian_jta(g)) for g in (2.0, 1.0, 0.5, 0.25)]
+        purities = [schmidt_decompose(double_gaussian_jta(g), k_max=1).purity for g in (2.0, 1.0, 0.5, 0.25)]
         assert all(b > a for a, b in zip(purities, purities[1:]))
         assert purities[-1] > 0.95
 
@@ -173,7 +167,7 @@ class TestModes:
         edge = (count - 0.5) * step
         grid = TimeGrid(2 * count, -edge, edge)
         train = PulseTrainSpec(sigma_p=1.0, period=10.0, n_side_pulses=0)
-        jta = assemble_gated_jta(train, GaussianFilterSpec(gamma=gamma_hat), None, grid, grid)
+        jta = assemble_gated_jta(train, GaussianFilterSpec(gamma=gamma_hat), grid_i=grid, grid_s=grid)
         result = schmidt_decompose(jta, k_max=4)
         alpha = math.sqrt(1.0 + gamma_hat**2)
         kappa = gamma_hat**2 / alpha
@@ -251,7 +245,7 @@ class TestSupportTrim:
         result = schmidt_decompose(jta, k_max=16)
         assert np.allclose(result.singular_values, [0.5] * 4 + [0.0] * 4, rtol=0.0, atol=1e-15)
         assert result.tail_mass == 0.0
-        assert schmidt_result_to_dict(result)["n_modes_stored"] == 4
+        assert result.signal_modes.shape[0] == 4
         assert not result.signal_modes[:, [0, 1, 2, 7]].any()
         assert not result.idler_modes[:, [0, 5, 6, 7]].any()
         assert np.allclose(result.signal_modes @ result.signal_modes.T, np.eye(4), atol=1e-12)
@@ -277,18 +271,3 @@ class TestValidationAndSerialization:
     def test_bad_k_max_raises(self):
         with pytest.raises(ParameterError):
             schmidt_decompose(unit_grid_jta(np.eye(3)), k_max=0)
-
-    def test_result_dict_shape(self):
-        result = schmidt_decompose(double_gaussian_jta(1.0), k_max=4)
-        payload = schmidt_result_to_dict(result, n_values=6)
-        assert len(payload["lambda_sq"]) == 6
-        assert payload["purity"] == pytest.approx(result.purity)
-        assert payload["n_modes_stored"] == 4
-
-    def test_modes_csv(self, tmp_path):
-        result = schmidt_decompose(double_gaussian_jta(1.0), k_max=2)
-        path = tmp_path / "modes.csv"
-        write_modes_csv(result, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t_s,mode0_re,mode0_im,mode1_re,mode1_im"
-        assert len(lines) == 1 + result.axis_s.n_points

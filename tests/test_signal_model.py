@@ -10,17 +10,16 @@ from biphoton.signal_model import (
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
-    default_time_grid,
     duration_fwhm_from_sigma_p,
     filter_fwhm_from_gamma,
     gamma_from_filter_fwhm,
     half_maximum_width,
     pump_fwhm_from_sigma_p,
-    sample_filter_time,
     sample_gate,
-    sample_pump_train,
     sigma_p_from_duration_fwhm,
     sigma_p_from_pump_fwhm,
+    train_amplitude,
+    warn_if_train_cropped,
 )
 
 
@@ -29,7 +28,6 @@ class TestTimeGrid:
         grid = TimeGrid(5, -2.0, 2.0)
         assert grid.step == pytest.approx(1.0)
         assert np.allclose(grid.points, [-2, -1, 0, 1, 2])
-        assert grid.span == pytest.approx(4.0)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -38,13 +36,6 @@ class TestTimeGrid:
             TimeGrid(8, 1.0, 1.0)
         with pytest.raises(ParameterError):
             TimeGrid(8, 0.0, math.inf)
-
-    def test_resolves_predicate(self):
-        grid = TimeGrid(161, -5.0, 5.0)  # step 1/16
-        assert grid.resolves(1.0)
-        assert not grid.resolves(0.5)
-        with pytest.raises(ParameterError):
-            grid.resolves(0.0)
 
 
 class TestSpecs:
@@ -56,19 +47,15 @@ class TestSpecs:
         with pytest.raises(ParameterError):
             PulseTrainSpec(sigma_p=1.0, period=1.0, n_side_pulses=-1)
 
-    def test_train_t_hat(self):
-        train = PulseTrainSpec(sigma_p=0.5, period=2.0)
-        assert train.t_hat == pytest.approx(4.0)
-
     def test_filter_fwhm_properties(self):
         filt = GaussianFilterSpec.from_amplitude_fwhm(1.4)
         assert filt.amplitude_fwhm == pytest.approx(1.4, rel=1e-12)
-        assert filt.intensity_fwhm == pytest.approx(1.4 / math.sqrt(2), rel=1e-12)
 
     def test_gate_bounds(self):
-        gate = TimeGateSpec(width=2.0, center=0.5)
-        assert gate.lower == pytest.approx(-0.5)
-        assert gate.upper == pytest.approx(1.5)
+        grid = TimeGrid(9, -1.5, 2.5)  # nodes every 0.5
+        values = sample_gate(TimeGateSpec(width=2.0, center=0.5), grid)
+        assert np.array_equal(values, (np.abs(grid.points - 0.5) <= 1.0).astype(float))
+        assert values.sum() == 5.0
         with pytest.raises(ParameterError):
             TimeGateSpec(width=0.0)
 
@@ -78,7 +65,7 @@ class TestPumpTrain:
         # Sum over j in [-3, 3] of exp(-(t - 2j)^2) at t = 1, sigma_p = 1.
         train = PulseTrainSpec(sigma_p=1.0, period=2.0, n_side_pulses=3)
         grid = TimeGrid(23, -11.0, 11.0)
-        values = sample_pump_train(train, grid)
+        values = train_amplitude(train, grid.points)
         t = 1.0
         expected = sum(math.exp(-((t - 2.0 * j) ** 2)) for j in range(-3, 4))
         index = int(np.argmin(np.abs(grid.points - t)))
@@ -86,37 +73,55 @@ class TestPumpTrain:
 
     def test_single_pulse_matches_m_zero(self):
         grid = TimeGrid(101, -5.0, 5.0)
-        single = sample_pump_train(PulseTrainSpec(1.0, 7.0, n_side_pulses=0), grid)
+        single = train_amplitude(PulseTrainSpec(1.0, 7.0, n_side_pulses=0), grid.points)
         assert np.allclose(single, np.exp(-grid.points**2), rtol=0, atol=1e-15)
 
     def test_coverage_warning_on_short_grid(self):
         train = PulseTrainSpec(sigma_p=1.0, period=4.0, n_side_pulses=2)
         with pytest.warns(CoverageWarning):
-            sample_pump_train(train, TimeGrid(64, -3.0, 3.0))
+            warn_if_train_cropped(train, TimeGrid(64, -3.0, 3.0))
         # Covering grid stays quiet.
-        wide = TimeGrid(512, -train.span, train.span)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CoverageWarning)
-            values = sample_pump_train(train, wide)
-        assert values.shape == (512,)
+            warn_if_train_cropped(train, TimeGrid(512, -train.span, train.span))
 
     def test_envelopes_non_negative_and_bounded(self):
-        train = PulseTrainSpec(sigma_p=1.0, period=2.0, n_side_pulses=3, amplitude=0.7)
+        train = PulseTrainSpec(sigma_p=1.0, period=2.0, n_side_pulses=3)
         grid = TimeGrid(401, -12.0, 12.0)
-        values = sample_pump_train(train, grid)
+        values = train_amplitude(train, grid.points)
         assert (values >= 0).all()
-        peak_bound = 0.7 * sum(math.exp(-((2.0 * j) ** 2)) for j in range(-3, 4))
+        peak_bound = sum(math.exp(-((2.0 * j) ** 2)) for j in range(-3, 4))
         assert values.max() <= peak_bound * (1 + 1e-12)
+
+    def test_matches_sum_over_every_pulse(self):
+        # Skipping the pulses out of reach of the times changes no bit.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            sigma_p = 10 ** rng.uniform(-2.0, 1.0)
+            period = sigma_p * 10 ** rng.uniform(-1.5, 2.0)
+            train = PulseTrainSpec(sigma_p, period, int(rng.integers(0, 40)))
+            t = rng.uniform(-1.5, 1.5, int(rng.integers(1, 200))) * (train.n_side_pulses + 1) * period
+            assert np.array_equal(train_amplitude(train, t), full_train_sum(train, t))
+
+    def test_far_side_pulses_allocate_nothing(self):
+        t = TimeGrid(64, -6.0, 6.0).points
+        far = train_amplitude(PulseTrainSpec(1.0, 11.0, n_side_pulses=10**15), t)
+        assert np.array_equal(far, train_amplitude(PulseTrainSpec(1.0, 11.0, n_side_pulses=3), t))
+
+    def test_tiny_period_keeps_every_pulse(self):
+        # The index bounds overflow to +/-inf; all 2M + 1 pulses sit at t ~ 0.
+        train = PulseTrainSpec(1.0, 1e-320, n_side_pulses=3)
+        t = TimeGrid(33, -5.0, 5.0).points
+        assert np.array_equal(train_amplitude(train, t), full_train_sum(train, t))
+
+
+def full_train_sum(train, t):
+    """The train amplitude summed over all 2M + 1 pulses."""
+    centers = np.arange(-train.n_side_pulses, train.n_side_pulses + 1) * train.period
+    return np.exp(-(((t[None, :] - centers[:, None]) / train.sigma_p) ** 2)).sum(axis=0)
 
 
 class TestFilterAndGate:
-    def test_filter_time_value(self):
-        filt = GaussianFilterSpec(gamma=0.85)
-        grid = TimeGrid(5, -2.0, 2.0)
-        values = sample_filter_time(filt, grid)
-        assert values[-1] == pytest.approx(math.exp(-((0.85 * 2.0) ** 2)), rel=1e-14)
-        assert values.max() == pytest.approx(1.0)
-
     def test_gate_boundary_samples_kept(self):
         gate = TimeGateSpec(width=2.0, center=0.0)
         grid = TimeGrid(41, -2.0, 2.0)  # nodes exactly at +/-1
@@ -189,12 +194,3 @@ class TestHalfMaximumWidth:
         x = np.linspace(0, 1, 10)
         with pytest.raises(ParameterError):
             half_maximum_width(x, np.full_like(x, -1.0))
-
-
-def test_default_time_grid_covers_and_resolves():
-    train = PulseTrainSpec(sigma_p=0.3, period=1.1, n_side_pulses=3)
-    filt = GaussianFilterSpec(gamma=0.4)
-    grid = default_time_grid(train, filt)
-    assert grid.t_min <= -train.span and grid.t_max >= train.span
-    assert grid.t_max >= 4.0 / filt.gamma
-    assert grid.resolves(train.sigma_p)
