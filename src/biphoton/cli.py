@@ -195,7 +195,7 @@ def sweep(cfg: dict) -> dict:
     """Sweep the design rectangle and report per-row optima.
 
     Cells of a row that share a lattice are evaluated in batches, one
-    batched eigvalsh of the even and odd halves of J each, on a thread
+    batched eigvalsh of their even signal Gram blocks each, on a thread
     pool sized by the BIPHOTON_THREADS environment variable (0 or unset:
     one thread per CPU); results do not depend on the thread count.
     """

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BiphotonError, DecompositionError, GridMismatchError, ParameterError
 from .formatting import write_csv
-from .joint_amplitude import jta_stack
-from .schmidt import support
-from .signal_model import RESOLUTION_POINTS_PER_SIGMA, PulseTrainSpec, TimeGrid
+from .signal_model import RESOLUTION_POINTS_PER_SIGMA, PulseTrainSpec, TimeGrid, train_amplitude
 
 # Half-width, in units of the relevant scale, beyond which Gaussian
 # envelopes are treated as having no support (exp(-25) ~ 1e-11 in
@@ -38,15 +38,17 @@ SUPPORT_HALF_WIDTH = 5.0
 ENV_THREADS = "BIPHOTON_THREADS"
 
 # Largest lattice, in points per axis, that a design point may ask for: the
-# upper half of a value matrix, its two folded blocks and their Gram
-# matrices then take 3 * 4 * 4096^2 B = 201 MB.
+# two (n/2) x (n/2) parity blocks of the signal Gram matrix, the cross term
+# they share and eigvalsh's copy then take 4 * 8 * 2048^2 B = 134 MB
+# (126 MB peak measured at n = 4092).
 # The gated acceptance rectangle needs at most 192 points; t_hat = 1e4 at
 # gamma_hat = 0.01 would ask for 16160.
 MAX_LATTICE_POINTS = 4096
 
-# Byte budget of one stack of folded value matrices in a sweep batch.  Larger
-# stacks buy no speed (4 MB runs as fast as 1 MB) and raise the peak
-# memory of the pool; one matrix per batch gives the batching gain back.
+# Byte budget of one stack of (n/2) x (n/2) even blocks in a sweep batch.
+# Larger stacks buy no speed (the serial 32x64 sweep: 0.58 s at 256 KB,
+# 0.53 s at 1 MB, 0.52 s at 4 MB) and raise the peak memory of the pool;
+# one matrix per batch gives the batching gain back.
 BATCH_BYTES = 1 << 20
 
 
@@ -70,6 +72,9 @@ class DesignPoint:
             raise ParameterError("t_hat must be positive and finite")
         if not (math.isfinite(self.gamma_hat) and self.gamma_hat > 0):
             raise ParameterError("gamma_hat must be positive and finite")
+        for name in ("n_side_pulses", "points_per_sigma"):
+            if not abs(getattr(self, name)) <= sys.float_info.max:  # exact for integers of any size
+                raise ParameterError(f"{name} must convert to a finite float")
         if self.n_side_pulses < 0:
             raise ParameterError("n_side_pulses must be non-negative")
         if self.points_per_sigma < RESOLUTION_POINTS_PER_SIGMA:
@@ -100,17 +105,17 @@ def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
     restores second-order convergence of gated quadratures; an edge node
     at full weight would bias the effective gate width by half a step.
     The node count is even, so the lattice folds into two mirrored halves
-    (see `_schmidt_weights`).  A count above ``MAX_LATTICE_POINTS``, an
+    (see `_parity_spectra`).  A count above ``MAX_LATTICE_POINTS``, an
     infinite one included, raises :class:`ParameterError` before the
     grid is built.
     """
     count = max(1.0, float(np.ceil(half_width / step - 0.5)))
     n_points = 2 * count
     if not n_points <= MAX_LATTICE_POINTS:
-        gigabytes = 3 * 4 * n_points * n_points / 1e9
+        gigabytes = 8 * n_points * n_points / 1e9
         raise ParameterError(
             f"lattice of {n_points:.12g} x {n_points:.12g} points ({gigabytes:.3g} GB for "
-            f"the folded amplitude and its Gram matrices) exceeds the cap of {MAX_LATTICE_POINTS} "
+            f"the parity blocks of its Gram matrix) exceeds the cap of {MAX_LATTICE_POINTS} "
             "points per axis"
         )
     edge = (count - 0.5) * step
@@ -157,71 +162,76 @@ def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
     return _midpoint_grid(half_width, step)
 
 
-def _schmidt_weights(values: np.ndarray, step: float) -> np.ndarray:
-    """Descending Schmidt weights of each amplitude in a stack of upper halves.
-
-    ``values`` is ``(k, h, n)``: the rows t_i < 0 of value matrices J on a
-    symmetric lattice of n = 2h nodes.  The amplitude must be even under
-    (t_i, t_s) -> (-t_i, -t_s), which holds for a symmetric pump train, a
-    centred gate (or none) and a filter that depends on t_i - t_s.  Then J
-    is orthogonally similar to diag(J+, J-) with J+- = A +- B R, where
-    [A B] are the upper rows and R reverses the columns of B, so that
-    J+-[i, j] = f(t_i, t_j) +- f(t_i, -t_j); the singular values of J are
-    those of J+ and J- together (time-reversal parity of the Schmidt
-    modes; Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
-
-    The weights are the eigenvalues of J+-^H J+-, clipped at zero (the
-    Gram matrix puts round-off of order eps * lambda_1 on the vanishing
-    ones) and scaled by the cell area ``step**2``.  The Gram matrices of
-    the ``(2k, h, h)`` stack of J+ and J- are formed on its `support`
-    block; each amplitude's two rows of weights are merged in descending
-    order and padded with zeros to ``n`` entries.
-    """
-    count, half, size = values.shape
-    upper = values[..., :half]
-    mirrored = values[..., : half - 1 : -1]
-    folded = np.empty((2, count, half, half))
-    np.add(upper, mirrored, out=folded[0])
-    np.subtract(upper, mirrored, out=folded[1])
-    folded = folded.reshape(2 * count, half, half)
-    rows, cols = support(folded)
-    block = folded[:, rows, cols]
-    gram = block.conj().swapaxes(-1, -2) @ block
-    try:
-        eigenvalues = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigenvalue decomposition failed: {exc}") from exc
-    merged = np.sort(np.hstack(eigenvalues.reshape(2, count, -1)), axis=1)[:, ::-1]
-    weights = np.zeros((count, size))
-    weights[:, : merged.shape[1]] = np.clip(merged, 0.0, None) * (step * step)
-    return weights
+def _hankel(values: np.ndarray, rows: int, cols: int, stride: int = 1) -> np.ndarray:
+    """Read-only view [:, a, b] -> values[:, a + stride * b] of a ``(k, L)`` array, L >= rows + stride * (cols - 1)."""
+    row, col = values.strides
+    return as_strided(values, (len(values), rows, cols), (row, col, stride * col), writeable=False)
 
 
-def _evaluate_batch(
-    points: list[DesignPoint], include_gates: bool = True
-) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
-    """Lattice, upper-half value stack and Schmidt weights of points that share a lattice.
+def _parity_spectra(
+    points: list[DesignPoint], include_gates: bool = True, odd: bool = True
+) -> tuple[TimeGrid, int, np.ndarray, np.ndarray]:
+    """Schmidt weights of points that share a lattice, from the parity blocks of the signal Gram matrix.
 
     The points must differ in ``gamma_hat`` only and have lattices of one
-    size, which makes them one lattice: the grid is fixed by its size and
-    step.  Only the rows t_i < 0 of each value matrix are built, shape
-    ``(k, n/2, n)``; the train is symmetric and the lattice symmetric
-    with an even node count, as `_schmidt_weights` requires.  The gate
-    is the lattice itself (see `_lattice`): every node of a gated
-    lattice lies inside the closed gate, so the gated amplitude is the
-    ungated kernel on its nodes and no mask is applied.  Raises
-    :class:`ParameterError` when any amplitude vanishes.
+    size, which makes them one lattice.  Idler and signal share its nodes
+    t_p = (p - n/2 + 1/2) h, and the gate is the lattice (see `_lattice`),
+    so with w(r) = exp(-(gamma_hat h r)^2 / 2) the idler sums out of the
+    value matrix J[i, p] = exp(-(gamma_hat (t_i - t_p))^2) Omega(t_p):
+
+        rho = J^T J,   rho[p, q] = Omega_p Omega_q w(p - q) H(p + q),   H(s) = sum_{i<n} w(2i - s).
+
+    The amplitude is even under (t_i, t_s) -> (-t_i, -t_s), so rho is
+    orthogonally similar to diag(G+, G-), G+-[p, q] = rho[p, q] +-
+    rho[p, n-1-q] over p, q < n/2: the even and odd Schmidt modes (Law,
+    Walmsley & Eberly, PRL 84, 5304 (2000)).  The blocks are products of
+    strided Toeplitz and Hankel views of w and H.  rho is entrywise
+    positive, so by Perron-Frobenius its top eigenvector is positive,
+    hence even: G+ holds the top weight, and with ``odd=False`` only G+ is
+    diagonalised.  Outer nodes whose diagonal mass 2 Omega_p^2 H(2p),
+    summed over the stack, totals less than eps^2 / 4 of the whole are
+    dropped first; by Weyl's inequality no weight moves by more than the
+    eigensolver's backward error.
+
+    Returns the grid, the first kept node, the kept blocks ``(2, k, m, m)``
+    (even first; one block with ``odd=False``) and the weights ``(k, n)``:
+    the eigenvalues, which carry round-off of order eps * lambda_1, clipped
+    at zero, scaled by the cell area and zero-padded in descending order.
+    Raises :class:`ParameterError` when any amplitude vanishes.
     """
-    first = points[0]
-    grid = _lattice(first, include_gates)
-    upper = np.linspace(grid.t_min, -grid.step / 2, grid.n_points // 2)
-    train = PulseTrainSpec(sigma_p=1.0, period=first.t_hat, n_side_pulses=first.n_side_pulses)
+    grid = _lattice(points[0], include_gates)
+    n, half, step = grid.n_points, grid.n_points // 2, grid.step
     gammas = np.array([p.gamma_hat for p in points])
-    values = jta_stack(train, gammas, upper, grid.points)
-    weights = _schmidt_weights(values, grid.step)
-    if (weights.sum(axis=1) <= 0).any():
+    # w[:, c + r] = w(r) for |r| <= c = 2n - 2, and H(s) = sum_j w[:, s + 2j].
+    center = 2 * n - 2
+    w = np.exp(-0.5 * np.square(np.multiply.outer(gammas, np.arange(-center, center + 1) * step)))
+    hank = _hankel(w, 2 * n - 1, n, stride=2).sum(axis=-1)
+    train = PulseTrainSpec(sigma_p=1.0, period=points[0].t_hat, n_side_pulses=points[0].n_side_pulses)
+    omega = train_amplitude(train, grid.points[:half])
+    mass = (omega**2 * hank[:, : n - 1 : 2]).sum(axis=0)
+    lo = int(np.searchsorted(np.cumsum(mass), 0.25 * np.finfo(float).eps ** 2 * mass.sum()))
+    size = half - lo
+
+    # rho[p, n-1-q] and rho[p, q] at p = lo + a, q = lo + b; reversing b makes a Hankel view Toeplitz.
+    w_win, h_win = (_hankel(values, values.shape[1] - size + 1, size) for values in (w, hank))
+    mirror = center + 2 * lo - (n - 1)
+    cross = w_win[:, mirror : mirror + size] * h_win[:, n - size : n, ::-1]
+    blocks = np.empty((2 if odd else 1, len(points), size, size))
+    np.multiply(w_win[:, center - size + 1 : center + 1, ::-1], h_win[:, 2 * lo : 2 * lo + size], out=blocks[0])
+    if odd:
+        np.subtract(blocks[0], cross, out=blocks[1])
+    blocks[0] += cross
+    blocks *= np.multiply.outer(omega[lo:], omega[lo:])
+    try:
+        eigenvalues = np.linalg.eigvalsh(blocks.reshape(-1, size, size))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigenvalue decomposition failed: {exc}") from exc
+    merged = np.sort(np.hstack(eigenvalues.reshape(len(blocks), len(points), size)), axis=1)[:, ::-1]
+    weights = np.zeros((len(points), n))
+    weights[:, : merged.shape[1]] = np.clip(merged, 0.0, None) * (step * step)
+    if (weights[:, 0] <= 0).any():
         raise ParameterError("joint amplitude vanished at this design point")
-    return grid, values, weights
+    return grid, lo, blocks, weights
 
 
 def _single_pulse_norm(gamma_hat):
@@ -239,10 +249,11 @@ def evaluate_design(
 ) -> DesignReport:
     """Evaluate the read-in efficiency and mode structure at one design point.
 
-    The Schmidt weights are the eigenvalues (``eigvalsh``) of the Gram
-    matrices of the even and odd halves J+ and J- of the value matrix J
-    on the point's lattice (see `_schmidt_weights`); the lattice is
-    bounded by ``MAX_LATTICE_POINTS`` before anything is allocated.
+    The Schmidt weights are the eigenvalues (``eigvalsh``) of the even
+    and odd parity blocks of the signal Gram matrix J^T J on the point's
+    lattice, built with the idler summed out (see `_parity_spectra`);
+    the lattice is bounded by ``MAX_LATTICE_POINTS`` before anything is
+    allocated.
 
     Parameters
     ----------
@@ -261,7 +272,7 @@ def evaluate_design(
     if kernel not in ("gated", "ungated"):
         raise ParameterError(f"unknown kernel {kernel!r}")
 
-    grid, values, weights = _evaluate_batch([point], include_gates)
+    grid, lo, blocks, weights = _parity_spectra([point], include_gates)
     weights = weights[0]
     total = float(weights.sum())
     lambda_sq = weights / total
@@ -271,7 +282,11 @@ def evaluate_design(
     if kernel == "gated":
         numerator = float(weights[0])
     else:
-        numerator = _ungated_kernel_overlap(values[0], grid, point.gamma_hat)
+        # <K| rho |K> = 2 K_u^T G+ K_u for the even single-pulse signal fundamental
+        # (Hermite-Gaussian, Mehler kernel; Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
+        alpha = math.sqrt(1.0 + point.gamma_hat**2)
+        mode = (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * grid.points[lo : grid.n_points // 2] ** 2)
+        numerator = float(2.0 * mode @ blocks[0, 0] @ mode * grid.step**3)
 
     return DesignReport(
         point=point,
@@ -286,23 +301,6 @@ def evaluate_design(
         include_gates=include_gates,
         kernel=kernel,
     )
-
-
-def _ungated_kernel_overlap(values: np.ndarray, grid: TimeGrid, gamma_hat: float) -> float:
-    """Overlap <K| rho_s |K> with K the single-pulse ungated fundamental mode.
-
-    The single-pulse state is a bivariate Gaussian, so its Schmidt modes
-    are Hermite-Gaussians (Mehler kernel; Law, Walmsley & Eberly, PRL 84,
-    5304 (2000)) and the signal fundamental is
-    K(t) = (2 alpha / pi)^(1/4) exp(-alpha t^2) with alpha = sqrt(1 + gamma_hat^2).
-    ``values`` holds the rows t_i < 0 of the value matrix J on ``grid``;
-    K is even and J is even under (t_i, t_s) -> (-t_i, -t_s), so the rows
-    t_i > 0 of J K mirror them and ||J K||^2 is twice their share.
-    """
-    alpha = math.sqrt(1.0 + gamma_hat**2)
-    kernel = (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * grid.points**2)
-    projected = values @ kernel * grid.step
-    return float(2.0 * (np.abs(projected) ** 2).sum() * grid.step)
 
 
 def read_in_efficiency(
@@ -405,13 +403,15 @@ def sweep_design_space(
         index, so the map is the same bit for bit on any pool.
 
     The cells of one row whose lattices have one size share one lattice.
-    They are evaluated in batches of at most ``BATCH_BYTES`` of folded
-    value matrices J+ and J-: one stacked Gram product and one batched
-    ``eigvalsh`` per batch, so that a pool job does enough work in
-    LAPACK to run beside the others.  On the 32x64 acceptance sweep
+    They are evaluated in batches of at most ``BATCH_BYTES`` of even
+    parity blocks G+ of the signal Gram matrix (see `_parity_spectra`):
+    a cell reports only the top weight, which G+ holds, so one batched
+    ``eigvalsh`` of the even blocks per batch, enough work in LAPACK for
+    a pool job to run beside the others.  On the 32x64 acceptance sweep
     (2 CPUs, ``OPENBLAS_NUM_THREADS=1``, medians of ten benchmark runs)
-    the pool of two takes 0.66 s and the serial sweep (``workers=1``)
-    1.14 s, against 1.00 s and 1.87 s on the full n x n Gram matrices.
+    the pool of two takes 0.30 s and the serial sweep (``workers=1``)
+    0.52 s, against 0.62 s and 1.11 s with both blocks built as Gram
+    products of the folded value matrices.
 
     Cell evaluations that fail numerically are recorded with their
     coordinates in ``failures`` and leave a NaN cell instead of
@@ -433,7 +433,7 @@ def sweep_design_space(
     errors: dict[tuple[int, int], str] = {}
 
     # Batch jobs: the cells of one row whose lattices have one size, in
-    # stacks of at most BATCH_BYTES of value matrices.
+    # stacks of at most BATCH_BYTES of even blocks.
     jobs: list[tuple[int, list[int], list[DesignPoint]]] = []
     for row, t_hat in enumerate(t_values):
         points = [
@@ -447,14 +447,14 @@ def sweep_design_space(
             except ParameterError as exc:
                 errors[row, col] = str(exc)
         for size, cols in groups.items():
-            per_stack = max(1, BATCH_BYTES // (4 * size * size))
+            per_stack = max(1, BATCH_BYTES // (2 * size * size))
             for start in range(0, len(cols), per_stack):
                 stack = cols[start : start + per_stack]
                 jobs.append((row, stack, [points[col] for col in stack]))
 
     def run(points: list[DesignPoint]) -> list[tuple[float, str | None]]:
         try:
-            _, _, weights = _evaluate_batch(points)
+            _, _, _, weights = _parity_spectra(points, odd=False)
         except BiphotonError as exc:
             if len(points) == 1:
                 return [(math.nan, str(exc))]

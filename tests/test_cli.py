@@ -151,6 +151,31 @@ class TestEfficiencyCommand:
         assert "t_hat = 0.05 is below the lattice step 1/points_per_sigma = 0.0625" in lines[0]
         assert runner.invoke(main, args + ["--no-gates"]).exit_code == 0
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (
+                ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--no-gates", "--side-pulses", str(10**400)],
+                "n_side_pulses",
+            ),
+            (
+                ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--points-per-sigma", str(10**400)],
+                "points_per_sigma",
+            ),
+            (
+                ["sweep", "--t-min", "2", "--t-max", "4", "--gamma-min", "0.4", "--gamma-max", "1.2",
+                 "--points-per-sigma", str(10**400)],
+                "points_per_sigma",
+            ),
+        ],
+    )
+    def test_integer_beyond_float_range_is_numerical_error(self, runner, args, name):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert lines == [f"error: {name} must convert to a finite float"]
+
     def test_invalid_physics_parameter(self, runner):
         result = runner.invoke(main, ["efficiency", "--t-hat", "-1", "--gamma-hat", "0.85"])
         assert result.exit_code == 4

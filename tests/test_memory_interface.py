@@ -20,7 +20,7 @@ from biphoton.memory_interface import (
     sweep_design_space,
     write_efficiency_map_csv,
 )
-from biphoton.schmidt import schmidt_decompose, support
+from biphoton.schmidt import schmidt_decompose
 from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid
 
 
@@ -52,6 +52,19 @@ def reference_norm_lattice_sum(gamma_hat, step):
     return total * step * step
 
 
+def assembled_jta(point, include_gates=True):
+    """The point's amplitude assembled on its full lattice, gated by a mask."""
+    step = 1.0 / point.points_per_sigma
+    local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
+    train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
+    filt = GaussianFilterSpec(gamma=point.gamma_hat)
+    if include_gates:
+        grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
+        return assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid_i=grid, grid_s=grid)
+    grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
+    return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
+
+
 def ungated_kernel_eta_by_svd(point, include_gates=True):
     """eta_in with the ungated kernel, the kernel taken from an SVD.
 
@@ -61,15 +74,9 @@ def ungated_kernel_eta_by_svd(point, include_gates=True):
     """
     step = 1.0 / point.points_per_sigma
     local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
-    train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
     filt = GaussianFilterSpec(gamma=point.gamma_hat)
-    if include_gates:
-        grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
-        gates = TimeGateSpec(width=point.t_hat)
-    else:
-        grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
-        gates = None
-    jta = assemble_gated_jta(train, filt, gates, grid_i=grid, grid_s=grid)
+    jta = assembled_jta(point, include_gates)
+    grid = jta.axis_s
 
     wide = midpoint_grid(max(local, grid.t_max + 0.5 * step), step)
     single = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=0)
@@ -90,15 +97,7 @@ def svd_report(point, include_gates=True, kernel="gated"):
     scaled by the cell area, against the lattice-sum reference norm.
     """
     step = 1.0 / point.points_per_sigma
-    local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
-    train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
-    filt = GaussianFilterSpec(gamma=point.gamma_hat)
-    if include_gates:
-        grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
-        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid_i=grid, grid_s=grid)
-    else:
-        grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
-        jta = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
+    jta = assembled_jta(point, include_gates)
     weights = np.linalg.svd(jta.values, compute_uv=False) ** 2 * step * step
     reference = reference_norm_lattice_sum(point.gamma_hat, step)
     lambda_sq = weights / weights.sum()
@@ -139,6 +138,11 @@ class TestDesignPoint:
             DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=-1)
         with pytest.raises(ParameterError):
             DesignPoint(t_hat=2.0, gamma_hat=1.0, points_per_sigma=8)
+        # Integers beyond float range are refused before any lattice arithmetic.
+        with pytest.raises(ParameterError, match="n_side_pulses must convert to a finite float"):
+            DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=10**400)
+        with pytest.raises(ParameterError, match="points_per_sigma must convert to a finite float"):
+            DesignPoint(t_hat=2.0, gamma_hat=1.0, points_per_sigma=10**400)
 
 
 class TestMidpointLattice:
@@ -272,12 +276,12 @@ class TestReadInEfficiency:
 
     def test_trimmed_no_gates_block_matches_svd_oracle(self):
         # Without gates the lattice spans the filter tails of the whole train,
-        # while the signal axis holds only the pump pulses: the Gram matrix is
-        # formed on fewer columns than the lattice has.
-        point = DesignPoint(t_hat=4.0, gamma_hat=0.5, n_side_pulses=1)
-        _, values, _ = mi._evaluate_batch([point], include_gates=False)
-        _, cols = support(values)
-        assert cols.stop - cols.start < values.shape[2]
+        # while the signal axis holds only the pump pulses: the parity blocks
+        # are built on fewer nodes than the upper half has.
+        point = DesignPoint(t_hat=12.0, gamma_hat=0.1)
+        grid, lo, blocks, _ = mi._parity_spectra([point], include_gates=False)
+        assert grid.n_points // 2 == 1456
+        assert blocks.shape == (2, 1, 670, 670) and lo == 1456 - 670
         assert_matches_svd_oracle(point, False, "gated")
 
     def test_report_consistency(self):
@@ -344,6 +348,15 @@ DESIGN_DRAWS = given(
 )
 
 
+def folded_gram_oracle(point, include_gates):
+    """Parity blocks G+- of J^T J, with J assembled on the full lattice."""
+    values = assembled_jta(point, include_gates).values
+    half = values.shape[1] // 2
+    rows = values.T[:half] @ values  # rho[p, :] for the upper nodes p
+    upper, mirrored = rows[:, :half], rows[:, : half - 1 : -1]
+    return upper + mirrored, upper - mirrored
+
+
 class TestParityFold:
     def test_no_full_lattice_matrix_is_formed(self, monkeypatch):
         shapes = []
@@ -354,13 +367,27 @@ class TestParityFold:
             return real(matrices)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        points = [DesignPoint(12.0, 0.1), DesignPoint(12.0, 0.2)]
-        grid, values, weights = mi._evaluate_batch(points)
-        half = grid.n_points // 2
-        assert values.shape == (2, half, grid.n_points)
-        assert weights.shape == (2, grid.n_points)
-        # One eigvalsh call on the even and odd blocks of both points.
-        assert len(shapes) == 1 and shapes[0][0] == 4 and max(shapes[0][1:]) <= half
+        # Both cells have the 192-node lattice, so they make one batch.
+        sweep_design_space((12.0, 12.0), (0.1, 0.2), (1, 2), workers=1)
+        # The sweep diagonalises the even blocks only: k matrices, not 2k.
+        assert len(shapes) == 1 and shapes[0][0] == 2 and max(shapes[0][1:]) <= 96
+        evaluate_design(DesignPoint(12.0, 0.1))
+        assert len(shapes) == 2 and shapes[1][0] == 2 and max(shapes[1][1:]) <= 96
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @DESIGN_DRAWS
+    def test_blocks_match_folded_gram_of_assembled_amplitude(
+        self, t_hat, gamma_hat, side_pulses, include_gates, kernel
+    ):
+        point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
+        even, odd = folded_gram_oracle(point, include_gates)
+        _, lo, blocks, _ = mi._parity_spectra([point], include_gates)
+        scale = np.abs(even).max()
+        assert np.abs(blocks[0, 0] - even[lo:, lo:]).max() <= 1e-13 * scale
+        assert np.abs(blocks[1, 0] - odd[lo:, lo:]).max() <= 1e-13 * scale
+        # Perron-Frobenius: the top weight lies in the even block, the only
+        # one a sweep diagonalises.
+        assert np.linalg.eigvalsh(even)[-1] >= np.linalg.eigvalsh(odd)[-1]
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
@@ -396,7 +423,7 @@ class TestSweep:
         assert (emap.gamma_opt >= 0.1).all() and (emap.gamma_opt <= 2.0).all()
 
     def test_failures_isolated_per_cell(self, monkeypatch):
-        real = mi._evaluate_batch
+        real = mi._parity_spectra
         failing_batches = []
 
         def flaky(points, *args, **kwargs):
@@ -405,7 +432,7 @@ class TestSweep:
                 raise ParameterError("synthetic failure")
             return real(points, *args, **kwargs)
 
-        monkeypatch.setattr(mi, "_evaluate_batch", flaky)
+        monkeypatch.setattr(mi, "_parity_spectra", flaky)
         emap = sweep_design_space((2.0, 4.0), (0.1, 1.0), (2, 3))
         assert math.isnan(emap.eta_in[0, 0])
         assert np.isfinite(emap.eta_in).sum() == 5
