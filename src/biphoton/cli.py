@@ -102,7 +102,7 @@ def _tool_errors(func):
         except BiphotonError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
-        except (MemoryError, ValueError, np.linalg.LinAlgError) as exc:
+        except (MemoryError, OverflowError, ValueError, np.linalg.LinAlgError) as exc:
             detail = " ".join(str(exc).split()) or "no detail"
             click.echo(f"error: {type(exc).__name__}: {detail}", err=True)
             sys.exit(4)
@@ -195,9 +195,10 @@ def sweep(cfg: dict) -> dict:
     """Sweep the design rectangle and report per-row optima.
 
     Cells of a row that share a lattice are evaluated in batches, one
-    batched eigvalsh of their even signal Gram blocks each, on a thread
-    pool sized by the BIPHOTON_THREADS environment variable (0 or unset:
-    one thread per CPU); results do not depend on the thread count.
+    batched power iteration for the top eigenvalue of their even signal
+    Gram blocks each, on a thread pool sized by the BIPHOTON_THREADS
+    environment variable (0 or unset: one thread per CPU); results do
+    not depend on the thread count.
     """
     emap = sweep_design_space(
         (cfg["t_min"], cfg["t_max"]),

@@ -37,19 +37,37 @@ SUPPORT_HALF_WIDTH = 5.0
 
 ENV_THREADS = "BIPHOTON_THREADS"
 
-# Largest lattice, in points per axis, that a design point may ask for: the
-# two (n/2) x (n/2) parity blocks of the signal Gram matrix, the cross term
-# they share and eigvalsh's copy then take 4 * 8 * 2048^2 B = 134 MB
-# (126 MB peak measured at n = 4092).
+# Largest lattice, in points per axis, that a design point may ask for:
+# design evaluation then holds the two (n/2) x (n/2) parity blocks of the
+# signal Gram matrix, the cross term they share and eigvalsh's copy, 4 * 8 *
+# 2048^2 B = 134 MB (130 MB peak measured at n = 4080); a sweep builds the
+# even block alone, one cell per stack at this size, whose power iteration
+# copies nothing, so three blocks with the cross term and a temporary
+# (98 MB there, a cell that falls back to eigvalsh included).
 # The gated acceptance rectangle needs at most 192 points; t_hat = 1e4 at
 # gamma_hat = 0.01 would ask for 16160.
 MAX_LATTICE_POINTS = 4096
 
 # Byte budget of one stack of (n/2) x (n/2) even blocks in a sweep batch.
-# Larger stacks buy no speed (the serial 32x64 sweep: 0.58 s at 256 KB,
-# 0.53 s at 1 MB, 0.52 s at 4 MB) and raise the peak memory of the pool;
-# one matrix per batch gives the batching gain back.
+# With the power iteration of `_top_eigenvalue` the 32x64 sweep takes 0.17 /
+# 0.13 / 0.16 s serially and 0.20 / 0.10 / 0.12 s on a pool of two at 256 KB
+# / 1 MB / 4 MB (medians of 15, shuffled): smaller stacks pay more Python
+# steps per cell, and larger ones stream each step's pass from beyond the
+# cache; one matrix per batch gives the batching gain back.
 BATCH_BYTES = 1 << 20
+
+# Relative residual ||G x - theta x|| <= POWER_TOLERANCE theta that ends the
+# power iteration of `_top_eigenvalue`: by Kato-Temple theta is then within
+# ||r||^2 / (theta - lambda_2), about 1e-26 lambda_1 on the acceptance
+# rectangle (lambda_2 <= 0.173 lambda_1), of lambda_1, while the residual's
+# own round-off, about sqrt(m) eps theta, stays below it up to m = 2048.
+POWER_TOLERANCE = 1e-13
+
+# Power steps before a cell falls back to eigvalsh: the residual shrinks by
+# lambda_2 / lambda_1 per step, so 32 steps reach POWER_TOLERANCE for ratios
+# up to 1e-13^(1/32) = 0.39, against at most 0.173 (17 steps) on the
+# acceptance rectangle.
+POWER_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -83,7 +101,15 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Full numerical characterisation of one design point."""
+    """Full numerical characterisation of one design point.
+
+    ``lambda_sq_head`` holds the eight largest Schmidt weights over their
+    sum.  Every weight but the first comes from ``eigvalsh`` of a parity
+    block and carries an absolute round-off of order eps * lambda_1, so
+    weights below about 1e-15 read as that floor: at (12, 0.1) with gates
+    entries 5-7 read 2.0e-16, 1.7e-16 and 1.5e-16, where the SVD of the
+    assembled amplitude gives 6e-18, 9e-22 and 1e-25.
+    """
 
     point: DesignPoint
     eta_in: float
@@ -187,16 +213,26 @@ def _parity_spectra(
     Walmsley & Eberly, PRL 84, 5304 (2000)).  The blocks are products of
     strided Toeplitz and Hankel views of w and H.  rho is entrywise
     positive, so by Perron-Frobenius its top eigenvector is positive,
-    hence even: G+ holds the top weight, and with ``odd=False`` only G+ is
-    diagonalised.  Outer nodes whose diagonal mass 2 Omega_p^2 H(2p),
+    hence even: G+ holds the top weight lambda_1, which `_top_eigenvalue`
+    finds by power iteration from the Hermite-Gauss fundamental
+    exp(-sqrt(1 + gamma_hat^2) t^2) of the single-pulse state.  With
+    ``odd=True`` both blocks also go through ``eigvalsh``, and the even
+    block's top is replaced by the power iteration's value, so a sweep
+    cell and `evaluate_design` report the same lambda_1 bit for bit when
+    their stacks keep the same nodes (see the trim below); with
+    ``odd=False`` nothing is diagonalised.  On the serial 32x64 sweep
+    (76 batches, ``OPENBLAS_NUM_THREADS=1``) the eigenvalue step takes
+    0.05 s of 0.18 s, where ``eigvalsh`` of G+ took 0.34 s of 0.47 s.
+    Outer nodes whose diagonal mass 2 Omega_p^2 H(2p),
     summed over the stack, totals less than eps^2 / 4 of the whole are
     dropped first; by Weyl's inequality no weight moves by more than the
     eigensolver's backward error.
 
     Returns the grid, the first kept node, the kept blocks ``(2, k, m, m)``
     (even first; one block with ``odd=False``) and the weights ``(k, n)``:
-    the eigenvalues, which carry round-off of order eps * lambda_1, clipped
-    at zero, scaled by the cell area and zero-padded in descending order.
+    lambda_1 first, then the other eigenvalues in descending order (none
+    with ``odd=False``), which carry round-off of order eps * lambda_1,
+    clipped at zero, scaled by the cell area and zero-padded.
     Raises :class:`ParameterError` when any amplitude vanishes.
     """
     grid = _lattice(points[0], include_gates)
@@ -222,16 +258,65 @@ def _parity_spectra(
         np.subtract(blocks[0], cross, out=blocks[1])
     blocks[0] += cross
     blocks *= np.multiply.outer(omega[lo:], omega[lo:])
+    start = _signal_fundamental(gammas[:, None], grid.points[lo:half])
+    weights = np.zeros((len(points), n))
     try:
-        eigenvalues = np.linalg.eigvalsh(blocks.reshape(-1, size, size))
+        weights[:, 0] = _top_eigenvalue(blocks[0], start)
+        if odd:
+            even, odd_spectrum = np.linalg.eigvalsh(blocks)
+            # lambda_1 is the even block's top, which the routine's value replaces.
+            weights[:, 1 : 2 * size] = np.sort(np.hstack([even[:, :-1], odd_spectrum]), axis=1)[:, ::-1]
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigenvalue decomposition failed: {exc}") from exc
-    merged = np.sort(np.hstack(eigenvalues.reshape(len(blocks), len(points), size)), axis=1)[:, ::-1]
-    weights = np.zeros((len(points), n))
-    weights[:, : merged.shape[1]] = np.clip(merged, 0.0, None) * (step * step)
+    weights = np.clip(weights, 0.0, None) * (step * step)
     if (weights[:, 0] <= 0).any():
         raise ParameterError("joint amplitude vanished at this design point")
     return grid, lo, blocks, weights
+
+
+def _signal_fundamental(gamma_hat, t: np.ndarray) -> np.ndarray:
+    """Normalised signal fundamental of the single-pulse ungated state at nodes ``t``.
+
+    (2 alpha / pi)^(1/4) exp(-alpha t^2), alpha = sqrt(1 + gamma_hat^2): the
+    Hermite-Gaussian of the Mehler kernel (Law, Walmsley & Eberly, PRL 84,
+    5304 (2000)), even and positive.  ``gamma_hat`` is a float or a column.
+    """
+    alpha = np.sqrt(1.0 + np.square(gamma_hat))
+    return (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * np.square(t))
+
+
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two ``(k, m)`` arrays, each through its own matmul."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _top_eigenvalue(blocks: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each symmetric, entrywise-positive block of a ``(k, m, m)`` stack.
+
+    Batched power iteration from the positive ``(k, m)`` start vectors:
+    the result is the Rayleigh quotient theta of each cell at the first
+    step whose residual ||G x - theta x|| is at most ``POWER_TOLERANCE``
+    theta, so each cell stops on its own.  Every product and reduction is
+    a per-slice matmul, so a cell's value does not depend on the other
+    cells of its stack.  Cells not converged after ``POWER_STEPS`` steps,
+    where lambda_2 / lambda_1 is near one, take the top of ``eigvalsh``.
+    """
+    top = np.empty(len(blocks))
+    todo = np.arange(len(blocks))
+    x = start / np.sqrt(_rowwise_dot(start, start))[:, None]
+    for _ in range(POWER_STEPS):
+        y = np.matmul(blocks, x[:, :, None])[:, :, 0]
+        theta = _rowwise_dot(x, y)
+        residual = y - theta[:, None] * x
+        done = np.sqrt(_rowwise_dot(residual, residual)) <= POWER_TOLERANCE * theta
+        if done.any():
+            top[todo[done]] = theta[done]
+            if done.all():
+                return top
+            todo, blocks, y = todo[~done], blocks[~done], y[~done]
+        x = y / np.sqrt(_rowwise_dot(y, y))[:, None]
+    top[todo] = np.linalg.eigvalsh(blocks)[:, -1]
+    return top
 
 
 def _single_pulse_norm(gamma_hat):
@@ -251,8 +336,9 @@ def evaluate_design(
 
     The Schmidt weights are the eigenvalues (``eigvalsh``) of the even
     and odd parity blocks of the signal Gram matrix J^T J on the point's
-    lattice, built with the idler summed out (see `_parity_spectra`);
-    the lattice is bounded by ``MAX_LATTICE_POINTS`` before anything is
+    lattice, built with the idler summed out, the top weight the power
+    iteration's value that a sweep reports (see `_parity_spectra`); the
+    lattice is bounded by ``MAX_LATTICE_POINTS`` before anything is
     allocated.
 
     Parameters
@@ -282,10 +368,8 @@ def evaluate_design(
     if kernel == "gated":
         numerator = float(weights[0])
     else:
-        # <K| rho |K> = 2 K_u^T G+ K_u for the even single-pulse signal fundamental
-        # (Hermite-Gaussian, Mehler kernel; Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
-        alpha = math.sqrt(1.0 + point.gamma_hat**2)
-        mode = (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * grid.points[lo : grid.n_points // 2] ** 2)
+        # <K| rho |K> = 2 K_u^T G+ K_u for the even single-pulse signal fundamental.
+        mode = _signal_fundamental(point.gamma_hat, grid.points[lo : grid.n_points // 2])
         numerator = float(2.0 * mode @ blocks[0, 0] @ mode * grid.step**3)
 
     return DesignReport(
@@ -405,13 +489,13 @@ def sweep_design_space(
     The cells of one row whose lattices have one size share one lattice.
     They are evaluated in batches of at most ``BATCH_BYTES`` of even
     parity blocks G+ of the signal Gram matrix (see `_parity_spectra`):
-    a cell reports only the top weight, which G+ holds, so one batched
-    ``eigvalsh`` of the even blocks per batch, enough work in LAPACK for
-    a pool job to run beside the others.  On the 32x64 acceptance sweep
-    (2 CPUs, ``OPENBLAS_NUM_THREADS=1``, medians of ten benchmark runs)
-    the pool of two takes 0.30 s and the serial sweep (``workers=1``)
-    0.52 s, against 0.62 s and 1.11 s with both blocks built as Gram
-    products of the folded value matrices.
+    a cell reports only the top weight, which G+ holds, so a batch is one
+    batched power iteration (`_top_eigenvalue`) in which each cell stops
+    on its own residual and falls back to ``eigvalsh`` only when it does
+    not converge.  On the 32x64 acceptance sweep (2 CPUs,
+    ``OPENBLAS_NUM_THREADS=1``, in-process medians) the pool of two takes
+    0.14 s and the serial sweep (``workers=1``) 0.22 s, against 0.30 s
+    and 0.53 s with ``eigvalsh`` of every even block.
 
     Cell evaluations that fail numerically are recorded with their
     coordinates in ``failures`` and leave a NaN cell instead of

@@ -14,6 +14,7 @@ conversion helpers below make each convention explicit in their names.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -78,6 +79,8 @@ class PulseTrainSpec:
     def __post_init__(self) -> None:
         _require_positive("sigma_p", self.sigma_p)
         _require_positive("period", self.period)
+        if not abs(self.n_side_pulses) <= sys.float_info.max:  # exact for integers of any size
+            raise ParameterError("n_side_pulses must convert to a finite float")
         if self.n_side_pulses < 0:
             raise ParameterError("n_side_pulses must be non-negative")
 

@@ -215,6 +215,19 @@ class TestEfficiencyCommand:
         assert len(lines) == 1 and lines[0].startswith(f"error: {type(error).__name__}: ")
         assert "Traceback" not in result.output
 
+    def test_overflow_error_is_numerical_error(self, runner, monkeypatch):
+        def failing(*args, **kwargs):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(cli, "sweep_design_space", failing)
+        result = runner.invoke(
+            main, ["sweep", "--t-min", "2", "--t-max", "4", "--gamma-min", "0.4", "--gamma-max", "1.2"]
+        )
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == ["error: OverflowError: int too large to convert to float"]
+        assert "Traceback" not in result.output
+
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(

@@ -359,20 +359,29 @@ def folded_gram_oracle(point, include_gates):
 
 class TestParityFold:
     def test_no_full_lattice_matrix_is_formed(self, monkeypatch):
-        shapes = []
-        real = np.linalg.eigvalsh
+        shapes = {"top": [], "eigvalsh": []}
+        real_top, real_eigvalsh = mi._top_eigenvalue, np.linalg.eigvalsh
 
-        def spy(matrices):
-            shapes.append(matrices.shape)
-            return real(matrices)
+        def spy_top(blocks, start):
+            shapes["top"].append(blocks.shape)
+            return real_top(blocks, start)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        def spy_eigvalsh(matrices):
+            shapes["eigvalsh"].append(matrices.shape)
+            return real_eigvalsh(matrices)
+
+        monkeypatch.setattr(mi, "_top_eigenvalue", spy_top)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
         # Both cells have the 192-node lattice, so they make one batch.
         sweep_design_space((12.0, 12.0), (0.1, 0.2), (1, 2), workers=1)
-        # The sweep diagonalises the even blocks only: k matrices, not 2k.
-        assert len(shapes) == 1 and shapes[0][0] == 2 and max(shapes[0][1:]) <= 96
+        # The sweep hands the even blocks only to the power iteration, k
+        # matrices of at most n/2 rows, and diagonalises nothing.
+        assert len(shapes["top"]) == 1 and shapes["top"][0][0] == 2 and max(shapes["top"][0][1:]) <= 96
+        assert shapes["eigvalsh"] == []
         evaluate_design(DesignPoint(12.0, 0.1))
-        assert len(shapes) == 2 and shapes[1][0] == 2 and max(shapes[1][1:]) <= 96
+        assert len(shapes["top"]) == 2 and shapes["top"][1][0] == 1 and max(shapes["top"][1][1:]) <= 96
+        assert len(shapes["eigvalsh"]) == 1 and shapes["eigvalsh"][0][:2] == (2, 1)
+        assert max(shapes["eigvalsh"][0][2:]) <= 96
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
@@ -399,6 +408,17 @@ class TestParityFold:
     ):
         assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), include_gates, kernel)
 
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @DESIGN_DRAWS
+    def test_power_iteration_matches_eigvalsh(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
+        point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
+        grid, _, blocks, weights = mi._parity_spectra([point], include_gates, odd=False)
+        expected = np.linalg.eigvalsh(blocks[0])[:, -1]
+        # The library's Hermite-Gauss start vector, and a flat one.
+        assert abs(weights[0, 0] / grid.step**2 - expected[0]) <= 1e-13 * expected[0]
+        flat = mi._top_eigenvalue(blocks[0], np.ones(blocks.shape[2:3])[None])
+        assert abs(flat[0] - expected[0]) <= 1e-13 * expected[0]
+
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @DESIGN_DRAWS
     def test_efficiency_bounds(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
@@ -409,6 +429,36 @@ class TestParityFold:
         if side_pulses == 0:
             # With side pulses the single-pulse bound does not hold.
             assert 0.0 <= ungated and gated <= closed_form_top_weight(gamma_hat) + 1e-12
+
+
+class TestTopEigenvalue:
+    def test_cell_alone_equals_cell_in_stack(self):
+        # The 64 cells of the acceptance row at t_hat = 12 share the
+        # 192-node lattice and stop after different numbers of steps.
+        points = [DesignPoint(12.0, float(g)) for g in np.linspace(0.1, 2.0, 64)]
+        _, _, blocks, _ = mi._parity_spectra(points, odd=False)
+        start = np.random.default_rng(5).uniform(0.5, 1.0, blocks.shape[1:3])
+        stacked = mi._top_eigenvalue(blocks[0], start)
+        for cell in range(len(points)):
+            alone = mi._top_eigenvalue(blocks[0, cell : cell + 1].copy(), start[cell : cell + 1].copy())
+            assert alone[0] == stacked[cell]
+
+    def test_near_degenerate_cell_falls_back_to_eigvalsh(self, monkeypatch):
+        # Without gates one side pulse per side gives two mirrored pulses of
+        # nearly equal weight in the even block: lambda_2 / lambda_1 ~ 1.
+        point = DesignPoint(5.5, 2.0, n_side_pulses=1)
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def spy(matrices):
+            shapes.append(matrices.shape)
+            return real(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        _, _, blocks, _ = mi._parity_spectra([point], include_gates=False, odd=False)
+        assert shapes == [(1, *blocks.shape[2:])]
+        monkeypatch.undo()
+        assert_matches_svd_oracle(point, False, "gated")
 
 
 class TestSweep:

@@ -46,6 +46,9 @@ class TestSpecs:
             PulseTrainSpec(sigma_p=1.0, period=-2.0)
         with pytest.raises(ParameterError):
             PulseTrainSpec(sigma_p=1.0, period=1.0, n_side_pulses=-1)
+        # An integer beyond float range is refused before span overflows.
+        with pytest.raises(ParameterError, match="n_side_pulses must convert to a finite float"):
+            PulseTrainSpec(1.0, 4.0, 10**400)
 
     def test_filter_fwhm_properties(self):
         filt = GaussianFilterSpec.from_amplitude_fwhm(1.4)
