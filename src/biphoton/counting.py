@@ -218,23 +218,18 @@ class LinearFit:
     residuals: np.ndarray
 
 
-def linear_rate_fit(
-    records: Sequence[CountRecord],
-    channel: str | Callable[[CountRecord], float],
-) -> LinearFit:
+def linear_rate_fit(records: Sequence[CountRecord], channel: str) -> LinearFit:
     """Fit rate = slope * pump_power + intercept for one channel.
 
-    ``channel`` is either an attribute/property name of
-    :class:`CountRecord` (e.g. ``"c_t"`` or ``"c_s_given_t"``) or a
-    callable extracting the rate from a record.
+    ``channel`` is a field or property name of :class:`CountRecord`
+    (e.g. ``"c_t"`` or ``"c_s_given_t"``).
     """
     if len(records) < 3:
         raise ParameterError("need at least 3 records for a rate fit")
     powers = np.array([rec.pump_power_mw for rec in records], dtype=float)
     if np.unique(powers).size < 2:
         raise ParameterError("pump powers are all equal; the fit is rank deficient")
-    extract = channel if callable(channel) else lambda rec: float(getattr(rec, channel))
-    rates = np.array([extract(rec) for rec in records], dtype=float)
+    rates = np.array([getattr(rec, channel) for rec in records], dtype=float)
     slope, intercept = np.polyfit(powers, rates, 1)
     residuals = rates - (slope * powers + intercept)
     return LinearFit(slope=float(slope), intercept=float(intercept), residuals=residuals)

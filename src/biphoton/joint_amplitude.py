@@ -86,30 +86,18 @@ def assemble_gated_jta(
     ``gates=None`` leaves the state ungated.  Gated assembly skips the
     train-coverage warning because the gate crops the train on purpose.
     """
-    values = jta_stack(train, np.array([filt.gamma]), grid_i.points, grid_s.points)[0]
+    values = np.subtract.outer(grid_i.points, grid_s.points)
+    values *= filt.gamma
+    np.square(values, out=values)
+    np.negative(values, out=values)
+    np.exp(values, out=values)
+    values *= train_amplitude(train, grid_s.points)
     if gates is None:
         warn_if_train_cropped(train, grid_s)
     else:
         values *= sample_gate(gates, grid_s)
         values *= sample_gate(gates, grid_i)[:, None]
     return JointAmplitude(values, grid_i, grid_s, TIME_DOMAIN)
-
-
-def jta_stack(train: PulseTrainSpec, gammas: np.ndarray, t_i: np.ndarray, t_s: np.ndarray) -> np.ndarray:
-    """Ungated value matrices of the joint amplitude for a stack of filter constants.
-
-    ``values[k] = exp(-(gammas[k] (t_i - t_s))^2) * Omega_tot(t_s)`` on the
-    idler nodes ``t_i`` and signal nodes ``t_s``, shape
-    ``(gammas.size, t_i.size, t_s.size)``, built in place: one outer
-    product of the filter constants with the time differences and one
-    exponential.
-    """
-    values = np.multiply.outer(gammas, np.subtract.outer(t_i, t_s))
-    np.square(values, out=values)
-    np.negative(values, out=values)
-    np.exp(values, out=values)
-    values *= train_amplitude(train, t_s)
-    return values
 
 
 def to_frequency_domain(jta: JointAmplitude) -> JointAmplitude:

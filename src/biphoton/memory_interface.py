@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BiphotonError, DecompositionError, GridMismatchError, ParameterError
 from .formatting import write_csv
@@ -127,13 +127,16 @@ class DesignReport:
 def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
     """Symmetric lattice with nodes at +/-(j + 1/2) step, at least one per side.
 
-    Midpoint placement keeps gate edges exactly between nodes, which
-    restores second-order convergence of gated quadratures; an edge node
-    at full weight would bias the effective gate width by half a step.
-    The node count is even, so the lattice folds into two mirrored halves
-    (see `_parity_spectra`).  A count above ``MAX_LATTICE_POINTS``, an
-    infinite one included, raises :class:`ParameterError` before the
-    grid is built.
+    When T/2 is a multiple of the step, midpoint placement puts the gate
+    edges exactly between nodes and gated quadratures converge at second
+    order.  Otherwise the outer cell keeps its full weight and the error
+    is O(step), not falling under refinement: at t_hat = 2.3226, gamma_hat
+    = 0.4317 eta_in is off the exact value by +1.68e-2 / -3.2e-3 / -3.2e-3
+    / +1.8e-3 at 16 / 32 / 64 / 128 points per sigma (ROADMAP item 1,
+    exact design evaluation).  The node count is even, so the lattice
+    folds into two mirrored halves (see `_parity_spectra`).  A count
+    above ``MAX_LATTICE_POINTS``, an infinite one included, raises
+    :class:`ParameterError` before the grid is built.
     """
     count = max(1.0, float(np.ceil(half_width / step - 0.5)))
     n_points = 2 * count
@@ -190,8 +193,7 @@ def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
 
 def _hankel(values: np.ndarray, rows: int, cols: int, stride: int = 1) -> np.ndarray:
     """Read-only view [:, a, b] -> values[:, a + stride * b] of a ``(k, L)`` array, L >= rows + stride * (cols - 1)."""
-    row, col = values.strides
-    return as_strided(values, (len(values), rows, cols), (row, col, stride * col), writeable=False)
+    return sliding_window_view(values, stride * (cols - 1) + 1, axis=-1)[:, :rows, ::stride]
 
 
 def _parity_spectra(
@@ -218,15 +220,17 @@ def _parity_spectra(
     exp(-sqrt(1 + gamma_hat^2) t^2) of the single-pulse state.  With
     ``odd=True`` both blocks also go through ``eigvalsh``, and the even
     block's top is replaced by the power iteration's value, so a sweep
-    cell and `evaluate_design` report the same lambda_1 bit for bit when
-    their stacks keep the same nodes (see the trim below); with
-    ``odd=False`` nothing is diagonalised.  On the serial 32x64 sweep
-    (76 batches, ``OPENBLAS_NUM_THREADS=1``) the eigenvalue step takes
-    0.05 s of 0.18 s, where ``eigvalsh`` of G+ took 0.34 s of 0.47 s.
-    Outer nodes whose diagonal mass 2 Omega_p^2 H(2p),
-    summed over the stack, totals less than eps^2 / 4 of the whole are
-    dropped first; by Weyl's inequality no weight moves by more than the
-    eigensolver's backward error.
+    cell and `evaluate_design` report the same lambda_1 bit for bit; with
+    ``odd=False`` nothing is diagonalised.
+
+    Outer nodes whose pump weight Omega_p^2 totals less than eps^2 / 8 of
+    sum_{p<n/2} Omega_p^2 are dropped first.  H(2p) = sum_{j=-p}^{n-1-p} w(2j)
+    grows from the edge p = 0 to the centre, where it stays below twice
+    H(0), which sums one whole side of w; so the dropped nodes carry less
+    than eps^2 / 4 of the trace of rho, and by Weyl's inequality no weight
+    moves by more than the eigensolver's backward error.  The kept nodes
+    depend on the pump train and the lattice alone, so each point of a
+    stack keeps the nodes it keeps on its own.
 
     Returns the grid, the first kept node, the kept blocks ``(2, k, m, m)``
     (even first; one block with ``odd=False``) and the weights ``(k, n)``:
@@ -244,8 +248,8 @@ def _parity_spectra(
     hank = _hankel(w, 2 * n - 1, n, stride=2).sum(axis=-1)
     train = PulseTrainSpec(sigma_p=1.0, period=points[0].t_hat, n_side_pulses=points[0].n_side_pulses)
     omega = train_amplitude(train, grid.points[:half])
-    mass = (omega**2 * hank[:, : n - 1 : 2]).sum(axis=0)
-    lo = int(np.searchsorted(np.cumsum(mass), 0.25 * np.finfo(float).eps ** 2 * mass.sum()))
+    pump = omega**2
+    lo = int(np.searchsorted(np.cumsum(pump), 0.125 * np.finfo(float).eps ** 2 * pump.sum()))
     size = half - lo
 
     # rho[p, n-1-q] and rho[p, q] at p = lo + a, q = lo + b; reversing b makes a Hankel view Toeplitz.
@@ -492,10 +496,7 @@ def sweep_design_space(
     a cell reports only the top weight, which G+ holds, so a batch is one
     batched power iteration (`_top_eigenvalue`) in which each cell stops
     on its own residual and falls back to ``eigvalsh`` only when it does
-    not converge.  On the 32x64 acceptance sweep (2 CPUs,
-    ``OPENBLAS_NUM_THREADS=1``, in-process medians) the pool of two takes
-    0.14 s and the serial sweep (``workers=1``) 0.22 s, against 0.30 s
-    and 0.53 s with ``eigvalsh`` of every even block.
+    not converge.
 
     Cell evaluations that fail numerically are recorded with their
     coordinates in ``failures`` and leave a NaN cell instead of

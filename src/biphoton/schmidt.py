@@ -49,16 +49,15 @@ class SchmidtResult:
 
 
 def support(values: np.ndarray) -> tuple[slice, slice]:
-    """Row and column slices of a value matrix, or of a ``(k, n_i, n_s)`` stack, that hold its norm.
+    """Row and column slices of a value matrix J that hold its norm.
 
     Leading and trailing rows and columns are dropped while their squared
     magnitude totals less than eps^2 ||J||_F^2, a quarter of that per edge
-    (eps the float64 machine epsilon, J the whole stack).  By Weyl's
-    inequality no singular value then moves by more than eps ||J||_F,
-    which is inside the backward error of the SVD itself.
+    (eps the float64 machine epsilon).  By Weyl's inequality no singular
+    value then moves by more than eps ||J||_F, which is inside the
+    backward error of the SVD itself.
     """
-    stack = values.reshape((-1,) + values.shape[-2:])
-    mass = np.einsum("kij,kij->ij", stack.conj(), stack).real
+    mass = (values.conj() * values).real
     row_mass = mass.sum(axis=1)
     budget = 0.25 * np.finfo(float).eps ** 2 * row_mass.sum()
     slices = []

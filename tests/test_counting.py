@@ -200,11 +200,6 @@ class TestLinearRateFit:
         assert fit.intercept == pytest.approx(50.0, rel=1e-6)
         assert np.abs(fit.residuals).max() < 1e-6
 
-    def test_callable_channel(self):
-        records = [make_record(pump_power_mw=p, c_h=3.0 * p) for p in (1.0, 2.0, 3.0)]
-        fit = linear_rate_fit(records, lambda rec: rec.c_h * 2.0)
-        assert fit.slope == pytest.approx(6.0, rel=1e-9)
-
     def test_preconditions(self):
         records = [make_record(pump_power_mw=1.0), make_record(pump_power_mw=2.0)]
         with pytest.raises(ParameterError):

@@ -281,7 +281,11 @@ class TestReadInEfficiency:
         point = DesignPoint(t_hat=12.0, gamma_hat=0.1)
         grid, lo, blocks, _ = mi._parity_spectra([point], include_gates=False)
         assert grid.n_points // 2 == 1456
-        assert blocks.shape == (2, 1, 670, 670) and lo == 1456 - 670
+        assert blocks.shape == (2, 1, 671, 671) and lo == 1456 - 671
+        # The trim reads the pump alone; the dropped nodes at both ends carry
+        # under eps^2 / 4 of the trace of rho = J^T J on the full lattice.
+        mass = np.square(assembled_jta(point, include_gates=False).values).sum(axis=0)
+        assert mass[:lo].sum() + mass[-lo:].sum() <= 0.25 * np.finfo(float).eps ** 2 * mass.sum()
         assert_matches_svd_oracle(point, False, "gated")
 
     def test_report_consistency(self):
@@ -523,7 +527,7 @@ class TestSweep:
         for row, t_hat in enumerate(emap.t_values):
             for col, gamma_hat in enumerate(emap.gamma_values):
                 expected = read_in_efficiency(DesignPoint(float(t_hat), float(gamma_hat)))
-                assert abs(emap.eta_in[row, col] - expected) <= 1e-14
+                assert emap.eta_in[row, col] == expected
 
     def test_cell_over_lattice_cap_is_a_failure(self):
         emap = sweep_design_space((1e4, 1e4), (0.01, 1.0), (1, 2))

@@ -256,12 +256,6 @@ class TestSupportTrim:
         )
         assert np.abs(rebuilt - values).max() <= 1e-12
 
-    def test_stack_trims_its_union(self):
-        stack = np.zeros((2, 6, 6))
-        stack[0, 2, 1] = 1.0
-        stack[1, 4, 3] = 1.0
-        assert support(stack) == (slice(2, 5), slice(1, 4))
-
 
 class TestValidationAndSerialization:
     def test_zero_norm_raises(self):
