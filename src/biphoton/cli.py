@@ -174,10 +174,7 @@ _points_per_sigma = click.option(
 def efficiency(cfg: dict) -> dict:
     """Read-in efficiency and mode structure at one design point."""
     point = DesignPoint(cfg["t_hat"], cfg["gamma_hat"], cfg["side_pulses"], cfg["points_per_sigma"])
-    inputs = {"point": point, "include_gates": cfg["use_gates"], "kernel": cfg["kernel"]}
-    # The report echoes its inputs, which the config already carries.
-    report = dataclasses.asdict(evaluate_design(**inputs))
-    return {name: value for name, value in report.items() if name not in inputs}
+    return dataclasses.asdict(evaluate_design(point, include_gates=cfg["use_gates"], kernel=cfg["kernel"]))
 
 
 @_command("sweep", json_output="output_json")
@@ -196,9 +193,9 @@ def sweep(cfg: dict) -> dict:
 
     Cells of a row that share a lattice are evaluated in batches, one
     batched power iteration for the top eigenvalue of their even signal
-    Gram blocks each, on a thread pool sized by the BIPHOTON_THREADS
-    environment variable (0 or unset: one thread per CPU); results do
-    not depend on the thread count.
+    Gram blocks each, on a thread pool of one thread per CPU the process
+    may run on (taskset caps it); results do not depend on the thread
+    count.
     """
     emap = sweep_design_space(
         (cfg["t_min"], cfg["t_max"]),
@@ -255,7 +252,8 @@ def analyze(cfg: dict) -> dict:
 
     def measured(reduction, *args):
         # Null for a record without triggers (for g2 also without counts in
-        # a port); such a record stays out of the aggregate.
+        # a port), which stays out of the aggregate, and for a rate fit with
+        # under three records or a single pump power, which is left out.
         try:
             return reduction(*args)
         except ParameterError:
@@ -289,13 +287,13 @@ def analyze(cfg: dict) -> dict:
     g2_mean, g2_err = aggregate(g2_values)
 
     fits = {}
-    if len(records) >= 3 and np.unique([r.pump_power_mw for r in records]).size >= 2:
-        for label, channel in (
-            ("c_T", "c_t"),
-            ("c_s_given_T", "c_s_given_t"),
-            ("signal_singles", "c_signal_total"),
-        ):
-            fit = linear_rate_fit(records, channel)
+    for label, channel in (
+        ("c_T", "c_t"),
+        ("c_s_given_T", "c_s_given_t"),
+        ("signal_singles", "c_signal_total"),
+    ):
+        fit = measured(linear_rate_fit, records, channel)
+        if fit is not None:
             fits[label] = {
                 "slope": fit.slope,
                 "intercept": fit.intercept,

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,8 +34,6 @@ from .signal_model import RESOLUTION_POINTS_PER_SIGMA, PulseTrainSpec, TimeGrid,
 # envelopes are treated as having no support (exp(-25) ~ 1e-11 in
 # amplitude, 1e-22 in norm).
 SUPPORT_HALF_WIDTH = 5.0
-
-ENV_THREADS = "BIPHOTON_THREADS"
 
 # Largest lattice, in points per axis, that a design point may ask for:
 # design evaluation then holds the two (n/2) x (n/2) parity blocks of the
@@ -111,7 +109,6 @@ class DesignReport:
     assembled amplitude gives 6e-18, 9e-22 and 1e-25.
     """
 
-    point: DesignPoint
     eta_in: float
     purity: float
     schmidt_number: float
@@ -120,8 +117,6 @@ class DesignReport:
     lambda_sq_head: tuple[float, ...]
     norm_gated: float
     norm_reference: float
-    include_gates: bool
-    kernel: str
 
 
 def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
@@ -377,7 +372,6 @@ def evaluate_design(
         numerator = float(2.0 * mode @ blocks[0, 0] @ mode * grid.step**3)
 
     return DesignReport(
-        point=point,
         eta_in=numerator / reference,
         purity=purity,
         schmidt_number=1.0 / purity,
@@ -386,8 +380,6 @@ def evaluate_design(
         lambda_sq_head=tuple(float(w) for w in lambda_sq[:8]),
         norm_gated=total,
         norm_reference=reference,
-        include_gates=include_gates,
-        kernel=kernel,
     )
 
 
@@ -416,7 +408,6 @@ class EfficiencyMap:
     gamma_opt: np.ndarray
     eta_opt: np.ndarray
     failures: tuple[tuple[float, float, str], ...] = ()
-    controls: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.eta_in.shape != (self.t_values.size, self.gamma_values.size):
@@ -449,24 +440,6 @@ def _refine_row_maximum(gammas: np.ndarray, etas: np.ndarray) -> tuple[float, fl
     return gamma_best, max(eta_best, float(y1))
 
 
-def _worker_count(requested: int | None) -> int:
-    """Resolve the sweep worker count; the environment caps it when unset."""
-    if requested is None:
-        raw = os.environ.get(ENV_THREADS, "").strip()
-        if raw:
-            try:
-                requested = int(raw)
-            except ValueError as exc:
-                raise ParameterError(f"{ENV_THREADS} must be an integer, got {raw!r}") from exc
-        else:
-            requested = 0
-    if requested < 0:
-        raise ParameterError("worker count must be non-negative")
-    if requested == 0:
-        return max(1, os.cpu_count() or 1)
-    return requested
-
-
 def sweep_design_space(
     t_range: tuple[float, float],
     gamma_range: tuple[float, float],
@@ -484,11 +457,11 @@ def sweep_design_space(
     resolution:
         Number of grid values per axis (t axis, gamma axis).
     workers:
-        Thread count of the pool that evaluates the batches.  ``None``
-        defers to the ``BIPHOTON_THREADS`` environment variable, where 0
-        (or an unset variable) means one thread per CPU.  The batches do
-        not depend on the worker count and results are assembled by cell
-        index, so the map is the same bit for bit on any pool.
+        Thread count of the pool that evaluates the batches, at least 1.
+        ``None`` means one thread per CPU the process may run on (its CPU
+        affinity, which ``taskset`` caps).  The batches do not depend on
+        the worker count and results are assembled by cell index, so the
+        map is the same bit for bit on any pool.
 
     The cells of one row whose lattices have one size share one lattice.
     They are evaluated in batches of at most ``BATCH_BYTES`` of even
@@ -510,6 +483,10 @@ def sweep_design_space(
     for name, (low, high) in (("t_range", t_range), ("gamma_range", gamma_range)):
         if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
             raise ParameterError(f"{name} must satisfy 0 < min <= max")
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif workers < 1:
+        raise ParameterError("workers must be at least 1")
 
     t_values = np.linspace(t_range[0], t_range[1], n_t)
     gamma_values = np.linspace(gamma_range[0], gamma_range[1], n_gamma)
@@ -548,7 +525,7 @@ def sweep_design_space(
         gammas = np.array([point.gamma_hat for point in points])
         return [(float(value), None) for value in weights[:, 0] / _single_pulse_norm(gammas)]
 
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, (points for _, _, points in jobs)))
 
     for (row, cols, _), batch in zip(jobs, results):
@@ -573,10 +550,6 @@ def sweep_design_space(
         gamma_opt=gamma_opt,
         eta_opt=eta_opt,
         failures=tuple(failures),
-        controls={
-            "n_side_pulses": n_side_pulses,
-            "points_per_sigma": points_per_sigma,
-        },
     )
 
 
@@ -598,5 +571,4 @@ def efficiency_map_summary(emap: EfficiencyMap) -> dict:
         "failures": [
             {"t_hat": t, "gamma_hat": g, "error": msg} for t, g, msg in emap.failures
         ],
-        "controls": dict(emap.controls),
     }

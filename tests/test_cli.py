@@ -286,9 +286,10 @@ class TestSweepCommand:
         assert result.exit_code == 3
 
     def test_csv_identical_across_processes_and_thread_counts(self, tmp_path):
-        # Fresh interpreters with one or two pool threads and one or the
-        # default number of BLAS threads.  The rectangle holds rows on one
-        # lattice and rows on several.
+        # Fresh interpreters pinned to one CPU (a pool of one) or free to
+        # run on every CPU of this process (a pool of that many), with one
+        # or the default number of BLAS threads.  The rectangle holds rows
+        # on one lattice and rows on several.
         args = [
             "sweep",
             "--t-min", "2", "--t-max", "20", "--t-steps", "8",
@@ -296,16 +297,21 @@ class TestSweepCommand:
         ]
         base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
         base["PYTHONPATH"] = os.pathsep.join([SRC_DIR, base.get("PYTHONPATH", "")])
+        cpu = min(os.sched_getaffinity(0))
+
+        def pin_to_one_cpu():
+            os.sched_setaffinity(0, {cpu})
+
         outputs = []
-        for threads in ("1", "2"):
+        for pin in (pin_to_one_cpu, None):
             for blas in ("1", None):
-                env = dict(base, BIPHOTON_THREADS=threads)
+                env = dict(base)
                 if blas is not None:
                     env["OPENBLAS_NUM_THREADS"] = blas
-                csv_path = tmp_path / f"map-{threads}-{blas}.csv"
+                csv_path = tmp_path / f"map-{pin is None}-{blas}.csv"
                 done = subprocess.run(
                     [sys.executable, "-m", "biphoton.cli", *args, "--output-csv", str(csv_path)],
-                    env=env, capture_output=True, text=True, timeout=300,
+                    env=env, capture_output=True, text=True, timeout=300, preexec_fn=pin,
                 )
                 assert done.returncode == 0, done.stderr
                 assert json.loads(done.stdout)["failures"] == []
@@ -432,6 +438,16 @@ class TestAnalyzeCommand:
         mean = sum(w * row["g2"] for w, row in zip(weights, payload["records"])) / sum(weights)
         assert payload["aggregate"]["g2"] == pytest.approx(mean, rel=1e-8)
         assert payload["aggregate"]["g2_err"] == pytest.approx(math.sqrt(1.0 / sum(weights)), rel=1e-8)
+
+    def test_rate_fits_need_three_records_and_two_powers(self, runner, tmp_path):
+        lines = COUNTS_BODY.splitlines()
+        equal_power = ["10," + line.split(",", 1)[1] for line in lines[1:]]
+        for name, body in (("two", lines[:3]), ("equal", [lines[0], *equal_power])):
+            counts = tmp_path / f"{name}.csv"
+            counts.write_text("\n".join(body) + "\n")
+            payload = run_json(runner, self.analyze_args(counts))
+            assert len(payload["records"]) == len(body) - 1
+            assert payload["fits"] == {}
 
     def test_headers_only_is_numerical_error(self, runner, tmp_path):
         counts = tmp_path / "counts.csv"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -97,8 +96,10 @@ def svd_report(point, include_gates=True, kernel="gated"):
     scaled by the cell area, against the lattice-sum reference norm.
     """
     step = 1.0 / point.points_per_sigma
-    jta = assembled_jta(point, include_gates)
-    weights = np.linalg.svd(jta.values, compute_uv=False) ** 2 * step * step
+    values = assembled_jta(point, include_gates).values
+    # A row or column of exact zeros carries no singular value.
+    values = values[np.ix_(values.any(axis=1), values.any(axis=0))]
+    weights = np.linalg.svd(values, compute_uv=False) ** 2 * step * step
     reference = reference_norm_lattice_sum(point.gamma_hat, step)
     lambda_sq = weights / weights.sum()
     if kernel == "gated":
@@ -224,7 +225,7 @@ class TestReadInEfficiency:
         # Pulses beyond the lattice's reach are skipped, not allocated.
         far = evaluate_design(DesignPoint(t_hat=11.0, gamma_hat=0.85, n_side_pulses=10**15))
         near = evaluate_design(DesignPoint(t_hat=11.0, gamma_hat=0.85, n_side_pulses=3))
-        assert dataclasses.replace(far, point=near.point) == near
+        assert far == near
 
     def test_gates_disabled_single_pulse_identity(self):
         point = DesignPoint(t_hat=4.0, gamma_hat=0.7, n_side_pulses=0)
@@ -389,6 +390,10 @@ class TestParityFold:
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
+    # Two mirrored side pulses without gates: the top even and odd weights
+    # differ by about 5 eps relative, and with one BLAS thread eigvalsh
+    # puts the odd one on top.
+    @example(t_hat=9.5, gamma_hat=1.25, side_pulses=1, include_gates=False, kernel="gated")
     def test_blocks_match_folded_gram_of_assembled_amplitude(
         self, t_hat, gamma_hat, side_pulses, include_gates, kernel
     ):
@@ -399,8 +404,11 @@ class TestParityFold:
         assert np.abs(blocks[0, 0] - even[lo:, lo:]).max() <= 1e-13 * scale
         assert np.abs(blocks[1, 0] - odd[lo:, lo:]).max() <= 1e-13 * scale
         # Perron-Frobenius: the top weight lies in the even block, the only
-        # one a sweep diagonalises.
-        assert np.linalg.eigvalsh(even)[-1] >= np.linalg.eigvalsh(odd)[-1]
+        # one a sweep diagonalises.  Where the parities are degenerate the
+        # two tops agree to within eigvalsh's backward error, m eps ||G+||_2
+        # for blocks of order m.
+        top_even, top_odd = np.linalg.eigvalsh(even)[-1], np.linalg.eigvalsh(odd)[-1]
+        assert top_even >= top_odd - even.shape[0] * np.finfo(float).eps * top_even
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
@@ -473,7 +481,6 @@ class TestSweep:
         assert finite.size == 32
         assert finite.min() >= 0.0 and finite.max() <= 1.0 + 1e-6
         assert (emap.eta_opt >= np.nanmax(emap.eta_in, axis=1)).all()
-        assert emap.controls == {"n_side_pulses": 3, "points_per_sigma": 16}
         assert (emap.gamma_opt >= 0.1).all() and (emap.gamma_opt <= 2.0).all()
 
     def test_failures_isolated_per_cell(self, monkeypatch):
@@ -507,8 +514,7 @@ class TestSweep:
         assert emap.gamma_opt[0] == pytest.approx(0.9)
         assert emap.eta_opt[0] == pytest.approx(emap.eta_in[0, 0])
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv(mi.ENV_THREADS, raising=False)
+    def test_thread_count_does_not_change_results(self):
         for rect in (((2.0, 6.0), (0.3, 1.5), (2, 4)), MIXED_LATTICE_RECT):
             serial = sweep_design_space(*rect, workers=1)
             threaded = sweep_design_space(*rect, workers=3)
@@ -555,16 +561,29 @@ class TestSweep:
         assert (t_fail, g_fail) == (4.0, 12.0)
         assert "gamma_hat = 12 exceeds points_per_sigma / 2 = 8" in message
 
-    def test_env_variable_controls_workers(self, monkeypatch):
-        monkeypatch.setenv(mi.ENV_THREADS, "2")
-        assert mi._worker_count(None) == 2
-        monkeypatch.setenv(mi.ENV_THREADS, "0")
-        assert mi._worker_count(None) >= 1
-        monkeypatch.setenv(mi.ENV_THREADS, "three")
-        with pytest.raises(ParameterError):
-            mi._worker_count(None)
-        with pytest.raises(ParameterError):
-            mi._worker_count(-2)
+    def test_pool_sized_by_cpu_affinity(self, monkeypatch):
+        sizes = []
+        real = mi.ThreadPoolExecutor
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(mi, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(mi.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        rect = ((3.0, 3.0), (0.9, 0.9), (1, 1))
+        sweep_design_space(*rect)
+        sweep_design_space(*rect, workers=1)
+        assert sizes == [3, 1]
+        # Where the affinity call does not exist, the CPU count.
+        monkeypatch.delattr(mi.os, "sched_getaffinity")
+        monkeypatch.setattr(mi.os, "cpu_count", lambda: 4)
+        sweep_design_space(*rect)
+        assert sizes == [3, 1, 4]
+        for workers in (0, -2):
+            with pytest.raises(ParameterError, match="workers must be at least 1"):
+                sweep_design_space(*rect, workers=workers)
+        assert sizes == [3, 1, 4]
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ParameterError):
@@ -604,4 +623,5 @@ class TestSerializationAndComposition:
         assert payload["t_hat"] == [2.0, 3.0]
         assert len(payload["gamma_opt"]) == 2
         assert payload["failures"] == []
-        assert payload["controls"]["points_per_sigma"] == 16
+        # The lattice controls are inputs; the sweep command's config carries them.
+        assert set(payload) == {"t_hat", "gamma_opt", "eta_opt", "gamma_range", "n_gamma", "failures"}
