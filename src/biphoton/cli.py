@@ -46,7 +46,7 @@ from .memory_interface import (
     sweep_design_space,
     write_efficiency_map_csv,
 )
-from .signal_model import RESOLUTION_POINTS_PER_SIGMA, GaussianFilterSpec
+from .signal_model import GaussianFilterSpec
 
 SCHEMA_VERSION = "1"
 
@@ -148,20 +148,10 @@ def _command(name: str, json_output: str = "output"):
     return register
 
 
-_points_per_sigma = click.option(
-    "--points-per-sigma",
-    type=click.IntRange(min=RESOLUTION_POINTS_PER_SIGMA),
-    default=RESOLUTION_POINTS_PER_SIGMA,
-    show_default=True,
-    help="Lattice density.",
-)
-
-
 @_command("efficiency")
 @click.option("--t-hat", type=float, required=True, help="Gate/period in units of sigma_p.")
 @click.option("--gamma-hat", type=float, required=True, help="Filter constant times sigma_p.")
 @click.option("--side-pulses", type=click.IntRange(min=0), default=3, show_default=True, help="Train truncation M.")
-@_points_per_sigma
 @click.option(
     "--kernel",
     type=click.Choice(["gated", "ungated"]),
@@ -173,7 +163,7 @@ _points_per_sigma = click.option(
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON output path (stdout when omitted).")
 def efficiency(cfg: dict) -> dict:
     """Read-in efficiency and mode structure at one design point."""
-    point = DesignPoint(cfg["t_hat"], cfg["gamma_hat"], cfg["side_pulses"], cfg["points_per_sigma"])
+    point = DesignPoint(cfg["t_hat"], cfg["gamma_hat"], cfg["side_pulses"])
     return dataclasses.asdict(evaluate_design(point, include_gates=cfg["use_gates"], kernel=cfg["kernel"]))
 
 
@@ -185,7 +175,6 @@ def efficiency(cfg: dict) -> dict:
 @click.option("--gamma-max", type=float, required=True)
 @click.option("--gamma-steps", type=click.IntRange(min=1), default=64, show_default=True)
 @click.option("--side-pulses", type=click.IntRange(min=0), default=3, show_default=True)
-@_points_per_sigma
 @click.option("--output-csv", type=click.Path(dir_okay=False), default=None, help="Cell-by-cell efficiency CSV.")
 @click.option("--output-json", type=click.Path(dir_okay=False), default=None, help="Summary JSON (stdout when omitted).")
 def sweep(cfg: dict) -> dict:
@@ -202,7 +191,6 @@ def sweep(cfg: dict) -> dict:
         (cfg["gamma_min"], cfg["gamma_max"]),
         (cfg["t_steps"], cfg["gamma_steps"]),
         n_side_pulses=cfg["side_pulses"],
-        points_per_sigma=cfg["points_per_sigma"],
     )
     if cfg["output_csv"] is not None:
         write_efficiency_map_csv(emap, cfg["output_csv"])

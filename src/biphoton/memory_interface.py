@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -73,28 +72,20 @@ class DesignPoint:
     """One dimensionless source/memory operating point.
 
     ``n_side_pulses`` truncates the pump train to pulse indices
-    [-M, M]; ``points_per_sigma`` sets the sampling density of all
-    lattices (at least ``RESOLUTION_POINTS_PER_SIGMA``, the resolution
-    floor of the discretisation).
+    [-M, M].  The lattice density follows from ``gamma_hat`` (see
+    `_lattice`).
     """
 
     t_hat: float
     gamma_hat: float
     n_side_pulses: int = 3
-    points_per_sigma: int = RESOLUTION_POINTS_PER_SIGMA
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_hat) and self.t_hat > 0):
             raise ParameterError("t_hat must be positive and finite")
         if not (math.isfinite(self.gamma_hat) and self.gamma_hat > 0):
             raise ParameterError("gamma_hat must be positive and finite")
-        for name in ("n_side_pulses", "points_per_sigma"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:  # exact for integers of any size
-                raise ParameterError(f"{name} must convert to a finite float")
-        if self.n_side_pulses < 0:
-            raise ParameterError("n_side_pulses must be non-negative")
-        if self.points_per_sigma < RESOLUTION_POINTS_PER_SIGMA:
-            raise ParameterError(f"points_per_sigma below the resolution floor of {RESOLUTION_POINTS_PER_SIGMA}")
+        PulseTrainSpec(1.0, self.t_hat, self.n_side_pulses)  # raises on an invalid n_side_pulses
 
 
 @dataclass(frozen=True)
@@ -154,31 +145,32 @@ def _local_half_width(gamma_hat: float) -> float:
 def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
     """Shared idler/signal lattice of a design point, bounded before allocation.
 
+    The step is h = 1 / (16 ceil(gamma_hat / 8)): the coarsest multiple
+    of ``RESOLUTION_POINTS_PER_SIGMA`` points per sigma_p with gamma_hat
+    <= density / 2, which resolves the filter response exp(-(gamma_hat
+    t)^2).  At t_hat = 4 and 11, eta_in moves by at most 1.8e-16 against
+    four times that density for gamma_hat in {8.5, 12, 16, 24, 40}.
+
     With gates the lattice is the gate: outside min(T/2, local support)
     the gated amplitude is zero or below double precision, so the lattice
     spans that block and nothing else.  Its outermost node lies at
-    (count - 1/2) h <= T/2 for the step h = 1/points_per_sigma, with
-    equality only at T = h, so every node is inside the closed gate and
-    no gate mask is needed.  A gate narrower than one step holds no node
-    and is refused.  Without gates the lattice spans the whole train.
+    (count - 1/2) h <= T/2, with equality only at T = h, so every node
+    is inside the closed gate and no gate mask is needed.  A gate
+    narrower than one step holds no node and is refused.  Without gates
+    the lattice spans the whole train.
 
-    Raises :class:`ParameterError` when the step does not resolve the
-    filter response exp(-(gamma_hat t)^2), that is for gamma_hat >
-    points_per_sigma / 2; with gates, when t_hat < h; and, from
+    Raises :class:`ParameterError` with gates when t_hat < h, and, from
     `_midpoint_grid`, when the lattice exceeds ``MAX_LATTICE_POINTS``.
     """
-    if point.gamma_hat > 0.5 * point.points_per_sigma:
-        raise ParameterError(
-            f"gamma_hat = {point.gamma_hat:g} exceeds points_per_sigma / 2 = "
-            f"{0.5 * point.points_per_sigma:g}, above which the lattice does not resolve the filter"
-        )
-    step = 1.0 / point.points_per_sigma
+    # In Python floats the step stays positive up to the largest gamma_hat,
+    # whose lattice then exceeds the cap; the density itself would overflow.
+    refinement = float(np.ceil(point.gamma_hat / (0.5 * RESOLUTION_POINTS_PER_SIGMA)))
+    step = 1.0 / RESOLUTION_POINTS_PER_SIGMA / refinement
     local = _local_half_width(point.gamma_hat)
     if include_gates:
         if point.t_hat < step:
             raise ParameterError(
-                f"t_hat = {point.t_hat:g} is below the lattice step 1/points_per_sigma = "
-                f"{step:g}: the gate holds no node"
+                f"t_hat = {point.t_hat:g} is below the lattice step {step:g}: the gate holds no node"
             )
         half_width = min(0.5 * point.t_hat, local)
     else:
@@ -196,11 +188,10 @@ def _parity_spectra(
 ) -> tuple[TimeGrid, int, np.ndarray, np.ndarray]:
     """Schmidt weights of points that share a lattice, from the parity blocks of the signal Gram matrix.
 
-    The points must differ in ``gamma_hat`` only and have lattices of one
-    size, which makes them one lattice.  Idler and signal share its nodes
-    t_p = (p - n/2 + 1/2) h, and the gate is the lattice (see `_lattice`),
-    so with w(r) = exp(-(gamma_hat h r)^2 / 2) the idler sums out of the
-    value matrix J[i, p] = exp(-(gamma_hat (t_i - t_p))^2) Omega(t_p):
+    The points must differ in ``gamma_hat`` only and share one lattice.
+    Idler and signal share its nodes t_p = (p - n/2 + 1/2) h, and the
+    gate is the lattice (see `_lattice`), so with w(r) = exp(-(gamma_hat
+    h r)^2 / 2) the idler sums out of the value matrix J[i, p] = exp(-(gamma_hat (t_i - t_p))^2) Omega(t_p):
 
         rho = J^T J,   rho[p, q] = Omega_p Omega_q w(p - q) H(p + q),   H(s) = sum_{i<n} w(2i - s).
 
@@ -445,7 +436,6 @@ def sweep_design_space(
     gamma_range: tuple[float, float],
     resolution: tuple[int, int],
     n_side_pulses: int = 3,
-    points_per_sigma: int = RESOLUTION_POINTS_PER_SIGMA,
     workers: int | None = None,
 ) -> EfficiencyMap:
     """Map the read-in efficiency over a rectangle of design points.
@@ -463,8 +453,9 @@ def sweep_design_space(
         the worker count and results are assembled by cell index, so the
         map is the same bit for bit on any pool.
 
-    The cells of one row whose lattices have one size share one lattice.
-    They are evaluated in batches of at most ``BATCH_BYTES`` of even
+    The cells of one row that share a lattice (see `_lattice`: its step
+    follows from gamma_hat, so two cells may share a node count but not a
+    step) are evaluated in batches of at most ``BATCH_BYTES`` of even
     parity blocks G+ of the signal Gram matrix (see `_parity_spectra`):
     a cell reports only the top weight, which G+ holds, so a batch is one
     batched power iteration (`_top_eigenvalue`) in which each cell stops
@@ -494,22 +485,19 @@ def sweep_design_space(
     eta = np.full((n_t, n_gamma), math.nan)
     errors: dict[tuple[int, int], str] = {}
 
-    # Batch jobs: the cells of one row whose lattices have one size, in
-    # stacks of at most BATCH_BYTES of even blocks.
+    # Batch jobs: the cells of one row that share a lattice, in stacks of
+    # at most BATCH_BYTES of even blocks.
     jobs: list[tuple[int, list[int], list[DesignPoint]]] = []
     for row, t_hat in enumerate(t_values):
-        points = [
-            DesignPoint(float(t_hat), float(gamma), n_side_pulses, points_per_sigma)
-            for gamma in gamma_values
-        ]
-        groups: dict[int, list[int]] = {}
+        points = [DesignPoint(float(t_hat), float(gamma), n_side_pulses) for gamma in gamma_values]
+        groups: dict[TimeGrid, list[int]] = {}
         for col, point in enumerate(points):
             try:
-                groups.setdefault(_lattice(point).n_points, []).append(col)
+                groups.setdefault(_lattice(point), []).append(col)
             except ParameterError as exc:
                 errors[row, col] = str(exc)
-        for size, cols in groups.items():
-            per_stack = max(1, BATCH_BYTES // (2 * size * size))
+        for grid, cols in groups.items():
+            per_stack = max(1, BATCH_BYTES // (2 * grid.n_points**2))
             for start in range(0, len(cols), per_stack):
                 stack = cols[start : start + per_stack]
                 jobs.append((row, stack, [points[col] for col in stack]))

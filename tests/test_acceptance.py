@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from conftest import record_criterion
 from test_counting import synthetic_sweep
 from test_joint_amplitude import marginal_by_quadrature
+from test_memory_interface import lattice_step, svd_report
 
 from biphoton.cli import main as cli_main
 from biphoton.counting import (
@@ -275,11 +276,7 @@ def test_criterion_7_numerical_hygiene(design_sweep):
         for p in anchors
     )
     grid_conv = max(
-        abs(
-            read_in_efficiency(DesignPoint(p.t_hat, p.gamma_hat, points_per_sigma=16))
-            - read_in_efficiency(DesignPoint(p.t_hat, p.gamma_hat, points_per_sigma=32))
-        )
-        for p in anchors
+        abs(read_in_efficiency(p) - svd_report(p, step=0.5 * lattice_step(p))["eta_in"]) for p in anchors
     )
 
     ok = (

@@ -99,9 +99,9 @@ class TestEfficiencyCommand:
 
     def test_flags_override_config_file(self, runner, tmp_path):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "use_gates": False, "points_per_sigma": 32}))
-        payload = run_json(runner, ["efficiency", "--config", str(config), "--gates", "--points-per-sigma", "16"])
-        assert payload["config"]["use_gates"] is True and payload["config"]["points_per_sigma"] == 16
+        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "use_gates": False, "side_pulses": 2}))
+        payload = run_json(runner, ["efficiency", "--config", str(config), "--gates", "--side-pulses", "3"])
+        assert payload["config"]["use_gates"] is True and payload["config"]["side_pulses"] == 3
         flag = run_json(runner, ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85"])
         assert payload == flag
 
@@ -115,10 +115,10 @@ class TestEfficiencyCommand:
 
     def test_config_fractional_integer_rejected(self, runner, tmp_path):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "points_per_sigma": 16.9}))
+        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "side_pulses": 2.9}))
         result = runner.invoke(main, ["efficiency", "--config", str(config)])
         assert result.exit_code == 2
-        assert "16.9" in result.output
+        assert "2.9" in result.output
 
     def test_config_boolean_number_rejected(self, runner, tmp_path):
         config = tmp_path / "run.json"
@@ -133,13 +133,10 @@ class TestEfficiencyCommand:
         gated = run_json(runner, args + ["--kernel", "gated"])
         assert 0.0 < ungated["eta_in"] <= gated["eta_in"]
 
-    @pytest.mark.parametrize("gamma_hat", ["30", "1e300"])
-    def test_filter_beyond_lattice_resolution_is_numerical_error(self, runner, gamma_hat):
-        result = runner.invoke(main, ["efficiency", "--t-hat", "2", "--gamma-hat", gamma_hat])
-        assert result.exit_code == 4
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and "exceeds points_per_sigma / 2 = 8" in lines[0]
+    def test_filter_beyond_base_density_is_evaluated(self, runner):
+        # The lattice refines with gamma_hat: 64 points per sigma_p here.
+        payload = run_json(runner, ["efficiency", "--t-hat", "2", "--gamma-hat", "30"])
+        assert payload["eta_in"] == pytest.approx(read_in_efficiency(DesignPoint(2.0, 30.0)), rel=1e-8)
 
     def test_gate_without_nodes_is_numerical_error(self, runner):
         args = ["efficiency", "--t-hat", "0.05", "--gamma-hat", "0.9"]
@@ -148,7 +145,7 @@ class TestEfficiencyCommand:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1
-        assert "t_hat = 0.05 is below the lattice step 1/points_per_sigma = 0.0625" in lines[0]
+        assert "t_hat = 0.05 is below the lattice step 0.0625" in lines[0]
         assert runner.invoke(main, args + ["--no-gates"]).exit_code == 0
 
     @pytest.mark.parametrize(
@@ -159,13 +156,13 @@ class TestEfficiencyCommand:
                 "n_side_pulses",
             ),
             (
-                ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--points-per-sigma", str(10**400)],
-                "points_per_sigma",
+                ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--side-pulses", str(10**400)],
+                "n_side_pulses",
             ),
             (
                 ["sweep", "--t-min", "2", "--t-max", "4", "--gamma-min", "0.4", "--gamma-max", "1.2",
-                 "--points-per-sigma", str(10**400)],
-                "points_per_sigma",
+                 "--side-pulses", str(10**400)],
+                "n_side_pulses",
             ),
         ],
     )
@@ -181,18 +178,23 @@ class TestEfficiencyCommand:
         assert result.exit_code == 4
 
     def test_lattice_over_cap_is_numerical_error(self, runner):
-        # The last three sizes overflow a float.
+        # The byte sizes of the last six overflow a float.  The step shrinks
+        # with gamma_hat but stays positive, so an extreme filter meets the
+        # cap too; a RuntimeWarning on the way would be an error in this suite.
         for t_hat, gamma_hat, gates in [
             ("1e9", "1", "--no-gates"),
             ("1e308", "1", "--no-gates"),
             ("2", "1e-300", "--no-gates"),
             ("1e300", "1e-300", "--gates"),
+            ("4", "1e300", "--gates"),
+            ("4", "1e308", "--gates"),
+            ("4", "1.7e308", "--gates"),
         ]:
             result = runner.invoke(main, ["efficiency", "--t-hat", t_hat, "--gamma-hat", gamma_hat, gates])
-            assert result.exit_code == 4, t_hat
+            assert result.exit_code == 4, (t_hat, gamma_hat)
             assert result.stdout == ""
             lines = result.stderr.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: lattice of ")
+            assert len(lines) == 1 and lines[0].startswith("error: lattice of ") and "exceeds the cap" in lines[0]
 
     @pytest.mark.parametrize(
         "error",
@@ -513,9 +515,7 @@ def command_args(tmp_path):
     "command, option, value",
     [
         ("efficiency", "--side-pulses", "-1"),
-        ("efficiency", "--points-per-sigma", "8"),
         ("sweep", "--side-pulses", "-1"),
-        ("sweep", "--points-per-sigma", "15"),
         ("sweep", "--t-steps", "0"),
         ("sweep", "--gamma-steps", "0"),
         ("spectrum", "--points", "17"),
@@ -538,6 +538,23 @@ def test_out_of_range_integer_option_is_usage_error(runner, tmp_path, command, o
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert f"'{option}'" in result.output and value in result.output
+
+
+@pytest.mark.parametrize("command", ["efficiency", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_retired_points_per_sigma_is_usage_error(runner, tmp_path, command, source):
+    # The lattice density follows from the design point; the option is gone.
+    args = command_args(tmp_path)[command]
+    if source == "flag":
+        args = args + ["--points-per-sigma", "16"]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"points_per_sigma": 16}))
+        args = args + ["--config", str(config)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and ("--points-per-sigma" if source == "flag" else "points_per_sigma") in errors[0]
 
 
 def readme_api():

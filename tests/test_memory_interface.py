@@ -20,7 +20,7 @@ from biphoton.memory_interface import (
     write_efficiency_map_csv,
 )
 from biphoton.schmidt import schmidt_decompose
-from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid
+from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid, train_amplitude
 
 
 def closed_form_top_weight(gamma_hat):
@@ -51,9 +51,14 @@ def reference_norm_lattice_sum(gamma_hat, step):
     return total * step * step
 
 
-def assembled_jta(point, include_gates=True):
-    """The point's amplitude assembled on its full lattice, gated by a mask."""
-    step = 1.0 / point.points_per_sigma
+def lattice_step(point):
+    """The lattice step the library derives for a point: 1 / (16 ceil(gamma_hat / 8))."""
+    return 1.0 / (16 * math.ceil(point.gamma_hat / 8))
+
+
+def assembled_jta(point, include_gates=True, step=None):
+    """The point's amplitude assembled on its full lattice (the library's step by default), gated by a mask."""
+    step = lattice_step(point) if step is None else step
     local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
     train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
     filt = GaussianFilterSpec(gamma=point.gamma_hat)
@@ -64,17 +69,17 @@ def assembled_jta(point, include_gates=True):
     return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
 
 
-def ungated_kernel_eta_by_svd(point, include_gates=True):
+def ungated_kernel_eta_by_svd(point, include_gates=True, step=None):
     """eta_in with the ungated kernel, the kernel taken from an SVD.
 
     The kernel is the signal fundamental of the single-pulse ungated
     amplitude, decomposed on a lattice wide enough to hold the evaluated
     block, which is a centred slice of it.
     """
-    step = 1.0 / point.points_per_sigma
+    step = lattice_step(point) if step is None else step
     local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
     filt = GaussianFilterSpec(gamma=point.gamma_hat)
-    jta = assembled_jta(point, include_gates)
+    jta = assembled_jta(point, include_gates, step)
     grid = jta.axis_s
 
     wide = midpoint_grid(max(local, grid.t_max + 0.5 * step), step)
@@ -88,15 +93,16 @@ def ungated_kernel_eta_by_svd(point, include_gates=True):
     return overlap / reference_norm_lattice_sum(point.gamma_hat, step)
 
 
-def svd_report(point, include_gates=True, kernel="gated"):
+def svd_report(point, include_gates=True, kernel="gated", step=None):
     """eta_in, purity, gating loss and lambda^2 head by an SVD of the block.
 
     The route the library took before its weights came from eigvalsh of
     the Gram matrix: singular values of the assembled block, squared and
-    scaled by the cell area, against the lattice-sum reference norm.
+    scaled by the cell area, against the lattice-sum reference norm.  On
+    the library's lattice by default; ``step`` picks another.
     """
-    step = 1.0 / point.points_per_sigma
-    values = assembled_jta(point, include_gates).values
+    step = lattice_step(point) if step is None else step
+    values = assembled_jta(point, include_gates, step).values
     # A row or column of exact zeros carries no singular value.
     values = values[np.ix_(values.any(axis=1), values.any(axis=0))]
     weights = np.linalg.svd(values, compute_uv=False) ** 2 * step * step
@@ -105,7 +111,7 @@ def svd_report(point, include_gates=True, kernel="gated"):
     if kernel == "gated":
         eta = weights[0] / reference
     else:
-        eta = ungated_kernel_eta_by_svd(point, include_gates)
+        eta = ungated_kernel_eta_by_svd(point, include_gates, step)
     return {
         "eta_in": eta,
         "purity": float((lambda_sq**2).sum()),
@@ -114,9 +120,26 @@ def svd_report(point, include_gates=True, kernel="gated"):
     }
 
 
-def assert_matches_svd_oracle(point, include_gates, kernel):
+def gauss_legendre_eta(point, n):
+    """Gated eta_in from an SVD on n Gauss-Legendre nodes per axis: no lattice involved.
+
+    J[i, p] = sqrt(w_i w_p) exp(-(gamma_hat (t_i - t_p))^2) Omega(t_p) on the
+    nodes of [-h, h], h = min(T/2, 5 (1 + 1/gamma_hat)), where the gated
+    amplitude is smooth, so the quadrature converges spectrally; then
+    sigma_1^2 / (pi / 2 gamma_hat).  Not converged at large h gamma_hat
+    (1.6e-2 off at (11, 16) with n = 160), so draw gamma_hat <= 3.
+    """
+    half = min(0.5 * point.t_hat, 5.0 * (1.0 + 1.0 / point.gamma_hat))
+    x, w = np.polynomial.legendre.leggauss(n)
+    t, root = half * x, np.sqrt(half * w)
+    omega = train_amplitude(PulseTrainSpec(1.0, point.t_hat, point.n_side_pulses), t)
+    values = np.exp(-np.square(point.gamma_hat * np.subtract.outer(t, t))) * np.outer(root, root * omega)
+    return np.linalg.svd(values, compute_uv=False)[0] ** 2 / (math.pi / (2.0 * point.gamma_hat))
+
+
+def assert_matches_svd_oracle(point, include_gates, kernel, step=None):
     report = evaluate_design(point, include_gates=include_gates, kernel=kernel)
-    oracle = svd_report(point, include_gates, kernel)
+    oracle = svd_report(point, include_gates, kernel, step)
     assert abs(report.eta_in - oracle["eta_in"]) <= 1e-12
     assert abs(report.purity - oracle["purity"]) <= 1e-12
     assert abs(report.gating_loss - oracle["gating_loss"]) <= 1e-12
@@ -137,13 +160,9 @@ class TestDesignPoint:
             DesignPoint(t_hat=2.0, gamma_hat=-1.0)
         with pytest.raises(ParameterError):
             DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=-1)
-        with pytest.raises(ParameterError):
-            DesignPoint(t_hat=2.0, gamma_hat=1.0, points_per_sigma=8)
         # Integers beyond float range are refused before any lattice arithmetic.
         with pytest.raises(ParameterError, match="n_side_pulses must convert to a finite float"):
             DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=10**400)
-        with pytest.raises(ParameterError, match="points_per_sigma must convert to a finite float"):
-            DesignPoint(t_hat=2.0, gamma_hat=1.0, points_per_sigma=10**400)
 
 
 class TestMidpointLattice:
@@ -169,7 +188,7 @@ class TestMidpointLattice:
         assert_matches_svd_oracle(DesignPoint(t_hat, 0.9), True, kernel)
 
     def test_gate_without_nodes_refused(self):
-        refusal = r"t_hat = 0\.05 is below the lattice step 1/points_per_sigma = 0\.0625"
+        refusal = r"t_hat = 0\.05 is below the lattice step 0\.0625"
         with pytest.raises(ParameterError, match=refusal):
             evaluate_design(DesignPoint(t_hat=0.05, gamma_hat=0.9))
         assert read_in_efficiency(DesignPoint(t_hat=0.05, gamma_hat=0.9), include_gates=False) > 0.0
@@ -307,24 +326,25 @@ class TestReadInEfficiency:
             evaluate_design(point)
         with pytest.raises(ParameterError, match="exceeds the cap"):
             evaluate_design(DesignPoint(t_hat=1e9, gamma_hat=1.0), include_gates=False)
+        # The step shrinks with gamma_hat and stays positive up to the float
+        # maximum, so an extreme filter meets the cap (and, with RuntimeWarning
+        # an error in this suite, raises no overflow warning on the way).
+        for gamma_hat in (1e300, 1e308, 1.7976931348623157e308):
+            with pytest.raises(ParameterError, match="exceeds the cap"):
+                evaluate_design(DesignPoint(t_hat=4.0, gamma_hat=gamma_hat))
         assert time.perf_counter() - start < 1.0
         largest_gated = mi._lattice(DesignPoint(t_hat=12.0, gamma_hat=0.1)).n_points
         assert largest_gated == 192 <= mi.MAX_LATTICE_POINTS // 16
 
-    def test_filter_beyond_lattice_resolution_refused(self):
+    def test_filter_beyond_base_density_refines_lattice(self):
         # The filter response exp(-(gamma_hat t)^2) decays on a scale of
-        # 1/gamma_hat against a lattice step of 1/points_per_sigma.  At
-        # gamma_hat = points_per_sigma / 2 the lattice has converged
-        # (t_hat = 4, against 64 points per sigma: 1.4e-16 measured);
-        # beyond it the point is refused.
-        for gamma_hat, density in ((8.0, 16), (16.0, 32)):
-            coarse = read_in_efficiency(DesignPoint(4.0, gamma_hat, points_per_sigma=density))
-            fine = read_in_efficiency(DesignPoint(4.0, gamma_hat, points_per_sigma=64))
-            assert abs(coarse - fine) <= 1e-12
-        with pytest.raises(ParameterError, match=r"gamma_hat = 8\.5 exceeds points_per_sigma / 2 = 8"):
-            evaluate_design(DesignPoint(t_hat=4.0, gamma_hat=8.5))
-        with pytest.raises(ParameterError, match=r"gamma_hat = 1e\+300"):
-            evaluate_design(DesignPoint(t_hat=2.0, gamma_hat=1e300))
+        # 1/gamma_hat, so the step is 1 / (16 ceil(gamma_hat / 8)): 1/16 up to
+        # gamma_hat = 8, finer beyond.  eta_in agrees with an SVD at half that step.
+        for gamma_hat in (8.0, 8.5, 12.0, 16.0, 24.0):
+            point = DesignPoint(4.0, gamma_hat)
+            assert mi._lattice(point).step == pytest.approx(lattice_step(point), rel=1e-12)
+            fine = svd_report(point, step=0.5 * lattice_step(point))["eta_in"]
+            assert abs(read_in_efficiency(point) - fine) <= 1e-12
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ParameterError):
@@ -338,9 +358,9 @@ class TestReadInEfficiency:
 
     @pytest.mark.parametrize("t_hat,gamma_hat", [(2.0, 0.9268), (6.0, 0.5), (11.0, 0.85)])
     def test_grid_doubling_convergence(self, t_hat, gamma_hat):
-        coarse = read_in_efficiency(DesignPoint(t_hat, gamma_hat, points_per_sigma=16))
-        fine = read_in_efficiency(DesignPoint(t_hat, gamma_hat, points_per_sigma=32))
-        assert abs(coarse - fine) < 1e-3
+        point = DesignPoint(t_hat, gamma_hat)
+        fine = svd_report(point, step=0.5 * lattice_step(point))["eta_in"]
+        assert abs(read_in_efficiency(point) - fine) < 1e-3
 
 
 # Continuous t_hat draws land off the lattice; both kernels, gates on or off.
@@ -443,6 +463,23 @@ class TestParityFold:
             assert 0.0 <= ungated and gated <= closed_form_top_weight(gamma_hat) + 1e-12
 
 
+class TestGaussLegendreOracle:
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(t_hat=st.floats(2.0, 12.0), gamma_hat=st.floats(0.1, 3.0))
+    def test_oracle_self_converges(self, t_hat, gamma_hat):
+        # 3.9e-14 at most over 200 random draws of this rectangle.
+        point = DesignPoint(t_hat, gamma_hat)
+        assert abs(gauss_legendre_eta(point, 160) - gauss_legendre_eta(point, 224)) <= 1e-13
+
+    @pytest.mark.parametrize("t_hat,gamma_hat", [(2.0, 0.93), (6.0, 0.5), (11.0, 0.85), (11.0, 0.25)])
+    def test_lattice_matches_oracle_at_on_grid_gates(self, t_hat, gamma_hat):
+        # T/2 is a whole number of steps, so the gate edges fall between
+        # nodes: 2.5e-4, 5.6e-6, 5.8e-15 and 2.1e-6 off.  Off the grid the
+        # lattice is O(h) off: +1.68e-2 at (2.3226, 0.4317).
+        point = DesignPoint(t_hat, gamma_hat)
+        assert abs(read_in_efficiency(point) - gauss_legendre_eta(point, 160)) <= 1e-3
+
+
 class TestTopEigenvalue:
     def test_cell_alone_equals_cell_in_stack(self):
         # The 64 cells of the acceptance row at t_hat = 12 share the
@@ -522,18 +559,23 @@ class TestSweep:
             assert np.array_equal(serial.gamma_opt, threaded.gamma_opt)
 
     def test_cells_match_single_point_evaluation(self):
-        # Rows of this rectangle hold cells on several lattice sizes.
-        emap = sweep_design_space(*MIXED_LATTICE_RECT)
+        # Rows of the mixed rectangle hold cells on several lattice sizes.
+        mixed = sweep_design_space(*MIXED_LATTICE_RECT)
         sizes = [
-            {midpoint_grid(min(0.5 * t, 5.0 * (1.0 + 1.0 / g)), 1.0 / 16.0).n_points for g in emap.gamma_values}
-            for t in emap.t_values
+            {midpoint_grid(min(0.5 * t, 5.0 * (1.0 + 1.0 / g)), 1.0 / 16.0).n_points for g in mixed.gamma_values}
+            for t in mixed.t_values
         ]
         assert min(len(s) for s in sizes) >= 3 and max(len(s) for s in sizes) == 9
-        assert emap.failures == ()
-        for row, t_hat in enumerate(emap.t_values):
-            for col, gamma_hat in enumerate(emap.gamma_values):
-                expected = read_in_efficiency(DesignPoint(float(t_hat), float(gamma_hat)))
-                assert emap.eta_in[row, col] == expected
+        # At t_hat = 24 the cells at gamma_hat = 0.82 and 9 both have 356
+        # nodes, at steps 1/16 and 1/32: one count, two lattices.
+        shared = [mi._lattice(DesignPoint(24.0, g)) for g in (0.82, 9.0)]
+        assert {grid.n_points for grid in shared} == {356} and shared[0] != shared[1]
+        for emap in (mixed, sweep_design_space((24.0, 24.0), (0.82, 9.0), (1, 2))):
+            assert emap.failures == ()
+            for row, t_hat in enumerate(emap.t_values):
+                for col, gamma_hat in enumerate(emap.gamma_values):
+                    expected = read_in_efficiency(DesignPoint(float(t_hat), float(gamma_hat)))
+                    assert emap.eta_in[row, col] == expected
 
     def test_cell_over_lattice_cap_is_a_failure(self):
         emap = sweep_design_space((1e4, 1e4), (0.01, 1.0), (1, 2))
@@ -553,13 +595,12 @@ class TestSweep:
         assert (t_fail, g_fail) == (1e300, 1e-300)
         assert message.startswith("lattice of ") and "exceeds the cap" in message
 
-    def test_cell_beyond_lattice_resolution_is_a_failure(self):
+    def test_cells_beyond_base_density_are_evaluated(self):
+        # gamma_hat = 12 gets a lattice of 32 points per sigma_p, the others 16.
         emap = sweep_design_space((4.0, 4.0), (2.0, 12.0), (1, 3))
-        assert np.isfinite(emap.eta_in[0, :2]).all() and math.isnan(emap.eta_in[0, 2])
-        assert len(emap.failures) == 1
-        t_fail, g_fail, message = emap.failures[0]
-        assert (t_fail, g_fail) == (4.0, 12.0)
-        assert "gamma_hat = 12 exceeds points_per_sigma / 2 = 8" in message
+        assert emap.failures == ()
+        for col, gamma_hat in enumerate(emap.gamma_values):
+            assert emap.eta_in[0, col] == read_in_efficiency(DesignPoint(4.0, float(gamma_hat)))
 
     def test_pool_sized_by_cpu_affinity(self, monkeypatch):
         sizes = []
