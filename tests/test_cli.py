@@ -138,6 +138,15 @@ class TestEfficiencyCommand:
         payload = run_json(runner, ["efficiency", "--t-hat", "2", "--gamma-hat", "30"])
         assert payload["eta_in"] == pytest.approx(read_in_efficiency(DesignPoint(2.0, 30.0)), rel=1e-8)
 
+    @pytest.mark.parametrize("gamma_hat", ["1e300"])
+    def test_filter_beyond_lattice_resolution_is_numerical_error(self, runner, gamma_hat):
+        # A filter too narrow for any lattice under the cap is still refused.
+        result = runner.invoke(main, ["efficiency", "--t-hat", "2", "--gamma-hat", gamma_hat])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: lattice of ") and "exceeds the cap" in lines[0]
+
     def test_gate_without_nodes_is_numerical_error(self, runner):
         args = ["efficiency", "--t-hat", "0.05", "--gamma-hat", "0.9"]
         result = runner.invoke(main, args)
