@@ -15,7 +15,6 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitConvergenceError, ParameterError
 from .formatting import write_csv
@@ -327,6 +326,9 @@ def fit_hsp_bandwidth(
     nu0_sq = max(total_fwhm**2 - kernel_fwhm**2, (2.0 * nu_floor) ** 2)
     dt0 = SQRT_LN2 / (math.pi * math.sqrt(nu0_sq))
     dt0 = min(dt0, 0.9 * dt_max)
+
+    # Imported here, not at module level: scipy.optimize costs about 0.5 s, and only this fit needs it.
+    from scipy.optimize import curve_fit
 
     try:
         popt, pcov = curve_fit(

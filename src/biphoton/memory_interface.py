@@ -238,12 +238,13 @@ def _parity_spectra(
     lo = int(np.searchsorted(np.cumsum(pump), 0.125 * np.finfo(float).eps ** 2 * pump.sum()))
     size = half - lo
 
-    # rho[p, n-1-q] and rho[p, q] at p = lo + a, q = lo + b; reversing b makes a Hankel view Toeplitz.
+    # rho[p, n-1-q] and rho[p, q] at p = lo + a, q = lo + b; reversing a or b makes a Hankel view Toeplitz.
+    # w is exactly even, so the direct term reads w(b - a) with its rows reversed, at unit inner stride.
     w_win, h_win = (_hankel(values, values.shape[1] - size + 1, size) for values in (w, hank))
     mirror = center + 2 * lo - (n - 1)
     cross = w_win[:, mirror : mirror + size] * h_win[:, n - size : n, ::-1]
     blocks = np.empty((2 if odd else 1, len(points), size, size))
-    np.multiply(w_win[:, center - size + 1 : center + 1, ::-1], h_win[:, 2 * lo : 2 * lo + size], out=blocks[0])
+    np.multiply(w_win[:, center : center - size : -1], h_win[:, 2 * lo : 2 * lo + size], out=blocks[0])
     if odd:
         np.subtract(blocks[0], cross, out=blocks[1])
     blocks[0] += cross

@@ -1,7 +1,11 @@
 import dataclasses
+import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from biphoton.counting import (
 from biphoton.errors import ParameterError
 from biphoton.formatting import sig9, write_csv
 from biphoton.signal_model import GaussianFilterSpec
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def make_record(**overrides):
@@ -324,6 +330,33 @@ class TestBandwidthFit:
         flat = [SweepPoint(x, 0.0) for x in np.linspace(-4, 4, 9)]
         with pytest.raises(ParameterError):
             fit_hsp_bandwidth(flat, filt)
+
+    def test_scipy_is_imported_by_the_fit_alone(self):
+        # A fresh interpreter: importing the package and its CLI leaves scipy
+        # unloaded; the first fit loads it and still recovers the bandwidth
+        # of a noiseless closed-form sweep (intensity line of FWHM 1.1/sqrt 2).
+        probe = """
+import json, math, sys
+import biphoton, biphoton.cli
+from biphoton.counting import SweepPoint, fit_hsp_bandwidth
+from biphoton.signal_model import GaussianFilterSpec
+before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+total = math.hypot(1.78, 1.1 / math.sqrt(2.0))
+detunings = [i / 4.0 - 4.0 for i in range(33)]
+points = [SweepPoint(x, math.exp(-4.0 * math.log(2.0) * (x / total) ** 2)) for x in detunings]
+fit = fit_hsp_bandwidth(points, GaussianFilterSpec.from_amplitude_fwhm(1.1))
+print(json.dumps({"before": before, "after": "scipy" in sys.modules, "delta_nu": fit.delta_nu_ghz}))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([SRC_DIR, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["before"] == []
+        assert result["after"]
+        assert abs(result["delta_nu"] - 1.78) <= 1e-6
 
 
 COUNTS_HEADER = "pump_power_mW,c_T,c_H,c_V,c_H_given_T,c_V_given_T,c_HV_given_T,acc_s_given_T"
