@@ -315,13 +315,13 @@ def fit_hsp_bandwidth(
         fwhm_sq = kernel_fwhm**2 + photon_fwhm**2
         return scale * np.exp(-4.0 * math.log(2.0) * (x - center) ** 2 / fwhm_sq)
 
-    weights = np.clip(rates, 0.0, None)
-    total = weights.sum()
-    center0 = float((detunings * weights).sum() / total) if total > 0 else float(detunings.mean())
     scale0 = float(rates.max())
     if scale0 <= 0:
         raise ParameterError("sweep rates are all non-positive")
-    variance = float((weights * (detunings - center0) ** 2).sum() / total) if total > 0 else span**2
+    weights = np.clip(rates, 0.0, None)
+    total = weights.sum()
+    center0 = float((detunings * weights).sum() / total)
+    variance = float((weights * (detunings - center0) ** 2).sum() / total)
     total_fwhm = max(2.355 * math.sqrt(max(variance, 0.0)), kernel_fwhm)
     nu0_sq = max(total_fwhm**2 - kernel_fwhm**2, (2.0 * nu_floor) ** 2)
     dt0 = SQRT_LN2 / (math.pi * math.sqrt(nu0_sq))
@@ -345,7 +345,7 @@ def fit_hsp_bandwidth(
     delta_t, center, scale = (float(v) for v in popt)
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
     delta_nu = SQRT_LN2 / (math.pi * delta_t)
-    delta_nu_err = delta_nu * float(perr[0]) / delta_t if delta_t > 0 else math.inf
+    delta_nu_err = delta_nu * float(perr[0]) / delta_t
     residuals = rates - model(detunings, *popt)
     resolution_limited = delta_nu <= nu_floor * 1.05 or delta_t >= 0.95 * dt_max
 

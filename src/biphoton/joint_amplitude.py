@@ -25,7 +25,7 @@ from .signal_model import (
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
-    half_maximum_width,
+    _require_positive,
     sample_gate,
     train_amplitude,
     warn_if_train_cropped,
@@ -34,9 +34,9 @@ from .signal_model import (
 TIME_DOMAIN = "time"
 FREQUENCY_DOMAIN = "frequency"
 
-# The marginal spectrum's axis spans +/-4 expected FWHM, and 8 samples per
-# FWHM resolve the line, so the axis needs at least 2 * 4 * 8 + 1 points.
-MIN_SPECTRUM_POINTS = 2 * 4 * 8 + 1
+# The marginal spectrum's axis: an odd count over +/-4 FWHM, so that the
+# centre node sits at offset 0.0 exactly and the sampled peak is 1.
+SPECTRUM_POINTS = 2049
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,6 @@ def quadrature_marginal_fwhm(pump_fwhm: float, filter_amplitude_fwhm: float) -> 
 def marginal_signal_spectrum(
     pump_fwhm: float,
     filter_amplitude_fwhm: float,
-    n_points: int = 2049,
     filter_center: float = 0.0,
 ) -> MarginalSpectrum:
     """Marginal spectrum of the heralded signal photon.
@@ -170,42 +169,36 @@ def marginal_signal_spectrum(
 
     a product of two Gaussians in nu_i whose integral is the Gaussian
     exp(-4 ln 2 (nu_s + filter_center)^2 / Q^2) of FWHM Q =
-    `quadrature_marginal_fwhm`.  It is sampled on ``n_points`` frequencies
-    spanning +/-4 Q about its centre -filter_center and normalized to
-    unit sampled peak; the curve and its FWHM are computed on the offsets
-    from the centre.  ``pump_fwhm`` is the pump intensity-spectrum
+    `quadrature_marginal_fwhm`, which is the reported width.  The curve
+    is sampled on ``SPECTRUM_POINTS`` offsets spanning +/-4 Q about its
+    centre -filter_center; the middle offset is 0.0 exactly, so the
+    sampled peak is 1.  ``pump_fwhm`` is the pump intensity-spectrum
     FWHM and ``filter_amplitude_fwhm`` the filter amplitude-transmission
     FWHM, both in the same frequency unit as the output axis.
 
-    Raises :class:`GridMismatchError` when ``n_points`` is below
-    ``MIN_SPECTRUM_POINTS``, too few to resolve the line, and
-    :class:`ParameterError` when the centre is so far out that float64
-    cannot tell the axis points apart.
+    Raises :class:`ParameterError` for a width that is not positive and
+    finite, for a Q whose axis overflows float64 or whose step underflows
+    it, and for a centre so far out that float64 cannot tell the axis
+    points apart.
     """
-    if pump_fwhm <= 0 or filter_amplitude_fwhm <= 0:
-        raise ParameterError("pump and filter FWHM values must be positive")
+    _require_positive("pump_fwhm", pump_fwhm)
+    _require_positive("filter_amplitude_fwhm", filter_amplitude_fwhm)
     if not math.isfinite(filter_center):
         raise ParameterError("filter_center must be finite")
-    if n_points < MIN_SPECTRUM_POINTS:
-        raise GridMismatchError(
-            "frequency grid too coarse: fewer than 8 samples across the expected FWHM"
-        )
 
-    expected_fwhm = quadrature_marginal_fwhm(pump_fwhm, filter_amplitude_fwhm)
-    offsets = TimeGrid(n_points, -4.0 * expected_fwhm, 4.0 * expected_fwhm).points
-    nu_s = offsets - filter_center
+    fwhm = quadrature_marginal_fwhm(pump_fwhm, filter_amplitude_fwhm)
+    with np.errstate(over="ignore", invalid="ignore"):  # an axis out of float64 range is refused below
+        offsets = np.linspace(-4.0 * fwhm, 4.0 * fwhm, SPECTRUM_POINTS)
+        nu_s = offsets - filter_center
+    if not (offsets[1:] > offsets[:-1]).all():
+        limit = "overflows" if fwhm > 1.0 else "underflows"
+        raise ParameterError(f"marginal FWHM {fwhm:g} is out of range: its +/-4-FWHM axis {limit} float64")
     if not (nu_s[1:] > nu_s[:-1]).all():
         raise ParameterError(
             f"filter centre {filter_center:g} is too far out for a frequency axis of step "
             f"{offsets[1] - offsets[0]:g}: float64 cannot resolve it there"
         )
-    intensity = np.exp(-4.0 * math.log(2.0) * (offsets / expected_fwhm) ** 2)
-
-    peak = intensity.max()
-    if peak <= 0:
-        raise ParameterError("marginal spectrum vanished on the supplied grid")
-    intensity = intensity / peak
-    fwhm = half_maximum_width(offsets, intensity)
+    intensity = np.exp(-4.0 * math.log(2.0) * (offsets / fwhm) ** 2)
     return MarginalSpectrum(frequencies=nu_s, intensity=intensity, fwhm=fwhm)
 
 

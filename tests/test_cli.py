@@ -351,7 +351,7 @@ class TestSpectrumCommand:
             pump, filt = (10.0 ** rng.uniform(-2.0, 2.0, size=2)).tolist()
             center = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0))
             args = ["spectrum", "--pump-fwhm-ghz", repr(pump), "--filter-fwhm-ghz", repr(filt)]
-            result = runner.invoke(main, args + ["--filter-center-ghz", repr(center), "--points", "65"])
+            result = runner.invoke(main, args + ["--filter-center-ghz", repr(center)])
             assert result.exit_code == 0, (pump, filt, center, result.output)
 
     FAR = ["spectrum", "--pump-fwhm-ghz", "1", "--filter-fwhm-ghz", "1", "--filter-center-ghz"]
@@ -365,6 +365,26 @@ class TestSpectrumCommand:
         result = runner.invoke(main, self.FAR + ["-1e15"])
         assert result.exit_code == 4
         assert "too far out" in result.output
+
+    @pytest.mark.parametrize(
+        "pump, filt, center, message",
+        [
+            ("nan", "1", "0", "pump_fwhm must be positive and finite, got nan"),
+            ("inf", "1", "0", "pump_fwhm must be positive and finite, got inf"),
+            ("1", "-inf", "0", "filter_amplitude_fwhm must be positive and finite, got -inf"),
+            ("3e307", "1", "0", "marginal FWHM 3e+307 is out of range: its +/-4-FWHM axis overflows"),
+            ("1e-320", "1e-320", "0", "marginal FWHM 1.22479e-320 is out of range: its +/-4-FWHM axis underflows"),
+            ("1", "1", "-1e15", "filter centre -1e+15 is too far out"),
+            ("1e307", "1", "1.7e308", "filter centre 1.7e+308 is too far out"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would print a second line
+    def test_refusal_names_its_cause(self, runner, pump, filt, center, message):
+        args = ["spectrum", "--pump-fwhm-ghz", pump, "--filter-fwhm-ghz", filt, "--filter-center-ghz", center]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and message in lines[0], result.output
 
     def test_csv_artifact(self, runner, tmp_path):
         out = tmp_path / "spectrum.csv"
@@ -527,9 +547,6 @@ def command_args(tmp_path):
         ("sweep", "--side-pulses", "-1"),
         ("sweep", "--t-steps", "0"),
         ("sweep", "--gamma-steps", "0"),
-        ("spectrum", "--points", "17"),
-        ("spectrum", "--points", "64"),
-        ("spectrum", "--points", "1048577"),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -549,21 +566,23 @@ def test_out_of_range_integer_option_is_usage_error(runner, tmp_path, command, o
     assert f"'{option}'" in result.output and value in result.output
 
 
-@pytest.mark.parametrize("command", ["efficiency", "sweep"])
+@pytest.mark.parametrize("command", ["efficiency", "sweep", "spectrum"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_retired_points_per_sigma_is_usage_error(runner, tmp_path, command, source):
-    # The lattice density follows from the design point; the option is gone.
+    # Both retired axis options: the lattice density follows from the design
+    # point, and the marginal spectrum has a fixed axis.
+    key = "points" if command == "spectrum" else "points_per_sigma"
     args = command_args(tmp_path)[command]
     if source == "flag":
-        args = args + ["--points-per-sigma", "16"]
+        args = args + ["--" + key.replace("_", "-"), "16"]
     else:
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"points_per_sigma": 16}))
+        config.write_text(json.dumps({key: 16}))
         args = args + ["--config", str(config)]
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert len(errors) == 1 and ("--points-per-sigma" if source == "flag" else "points_per_sigma") in errors[0]
+    assert len(errors) == 1 and ("--" + key.replace("_", "-") if source == "flag" else key) in errors[0]
 
 
 def readme_api():
