@@ -154,12 +154,11 @@ def _command(name: str, json_output: str = "output"):
     show_default=True,
     help="Projection kernel: fundamental mode of the gated or the single-pulse state.",
 )
-@click.option("--gates/--no-gates", "use_gates", default=True, show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="JSON output path (stdout when omitted).")
 def efficiency(cfg: dict) -> dict:
     """Read-in efficiency and mode structure at one design point."""
     point = DesignPoint(cfg["t_hat"], cfg["gamma_hat"], cfg["side_pulses"])
-    return dataclasses.asdict(evaluate_design(point, include_gates=cfg["use_gates"], kernel=cfg["kernel"]))
+    return dataclasses.asdict(evaluate_design(point, kernel=cfg["kernel"]))
 
 
 @_command("sweep", json_output="output_json")

@@ -95,9 +95,9 @@ class DesignReport:
     ``lambda_sq_head`` holds the eight largest Schmidt weights over their
     sum.  Every weight but the first comes from ``eigvalsh`` of a parity
     block and carries an absolute round-off of order eps * lambda_1, so
-    weights below about 1e-15 read as that floor: at (12, 0.1) with gates
-    entries 5-7 read 2.0e-16, 1.7e-16 and 1.5e-16, where the SVD of the
-    assembled amplitude gives 6e-18, 9e-22 and 1e-25.
+    weights below about 1e-15 read as that floor: at (12, 0.1) entries
+    5-7 read 2.0e-16, 1.7e-16 and 1.5e-16, where the SVD of the assembled
+    amplitude gives 6e-18, 9e-22 and 1e-25.
     """
 
     eta_in: float
@@ -137,12 +137,7 @@ def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
     return TimeGrid(int(n_points), -edge, edge)
 
 
-def _local_half_width(gamma_hat: float) -> float:
-    """Support half-width of the single-pulse filtered amplitude."""
-    return SUPPORT_HALF_WIDTH * (1.0 + 1.0 / gamma_hat)
-
-
-def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
+def _lattice(point: DesignPoint) -> TimeGrid:
     """Shared idler/signal lattice of a design point, bounded before allocation.
 
     The step is h = 1 / (16 ceil(gamma_hat / 8)): the coarsest multiple
@@ -151,31 +146,26 @@ def _lattice(point: DesignPoint, include_gates: bool = True) -> TimeGrid:
     t)^2).  At t_hat = 4 and 11, eta_in moves by at most 1.8e-16 against
     four times that density for gamma_hat in {8.5, 12, 16, 24, 40}.
 
-    With gates the lattice is the gate: outside min(T/2, local support)
-    the gated amplitude is zero or below double precision, so the lattice
-    spans that block and nothing else.  Its outermost node lies at
-    (count - 1/2) h <= T/2, with equality only at T = h, so every node
-    is inside the closed gate and no gate mask is needed.  A gate
-    narrower than one step holds no node and is refused.  Without gates
-    the lattice spans the whole train.
+    The lattice is the gate: outside min(T/2, local support) the gated
+    amplitude is zero or below double precision, so the lattice spans
+    that block and nothing else.  Its outermost node lies at (count -
+    1/2) h <= T/2, with equality only at T = h, so every node is inside
+    the closed gate and no gate mask is needed.  A gate narrower than
+    one step holds no node and is refused.
 
-    Raises :class:`ParameterError` with gates when t_hat < h, and, from
+    Raises :class:`ParameterError` when t_hat < h, and, from
     `_midpoint_grid`, when the lattice exceeds ``MAX_LATTICE_POINTS``.
     """
     # In Python floats the step stays positive up to the largest gamma_hat,
     # whose lattice then exceeds the cap; the density itself would overflow.
     refinement = float(np.ceil(point.gamma_hat / (0.5 * RESOLUTION_POINTS_PER_SIGMA)))
     step = 1.0 / RESOLUTION_POINTS_PER_SIGMA / refinement
-    local = _local_half_width(point.gamma_hat)
-    if include_gates:
-        if point.t_hat < step:
-            raise ParameterError(
-                f"t_hat = {point.t_hat:g} is below the lattice step {step:g}: the gate holds no node"
-            )
-        half_width = min(0.5 * point.t_hat, local)
-    else:
-        half_width = point.n_side_pulses * point.t_hat + local
-    return _midpoint_grid(half_width, step)
+    if point.t_hat < step:
+        raise ParameterError(
+            f"t_hat = {point.t_hat:g} is below the lattice step {step:g}: the gate holds no node"
+        )
+    local = SUPPORT_HALF_WIDTH * (1.0 + 1.0 / point.gamma_hat)
+    return _midpoint_grid(min(0.5 * point.t_hat, local), step)
 
 
 def _hankel(values: np.ndarray, rows: int, cols: int, stride: int = 1) -> np.ndarray:
@@ -183,9 +173,7 @@ def _hankel(values: np.ndarray, rows: int, cols: int, stride: int = 1) -> np.nda
     return sliding_window_view(values, stride * (cols - 1) + 1, axis=-1)[:, :rows, ::stride]
 
 
-def _parity_spectra(
-    points: list[DesignPoint], include_gates: bool = True, odd: bool = True
-) -> tuple[TimeGrid, int, np.ndarray, np.ndarray]:
+def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGrid, int, np.ndarray, np.ndarray]:
     """Schmidt weights of points that share a lattice, from the parity blocks of the signal Gram matrix.
 
     The points must differ in ``gamma_hat`` only and share one lattice.
@@ -225,7 +213,7 @@ def _parity_spectra(
     clipped at zero, scaled by the cell area and zero-padded.
     Raises :class:`ParameterError` when any amplitude vanishes.
     """
-    grid = _lattice(points[0], include_gates)
+    grid = _lattice(points[0])
     n, half, step = grid.n_points, grid.n_points // 2, grid.step
     gammas = np.array([p.gamma_hat for p in points])
     # w[:, c + r] = w(r) for |r| <= c = 2n - 2, and H(s) = sum_j w[:, s + 2j].
@@ -318,11 +306,7 @@ def _single_pulse_norm(gamma_hat):
     return math.pi / (2.0 * gamma_hat)
 
 
-def evaluate_design(
-    point: DesignPoint,
-    include_gates: bool = True,
-    kernel: str = "gated",
-) -> DesignReport:
+def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     """Evaluate the read-in efficiency and mode structure at one design point.
 
     The Schmidt weights are the eigenvalues (``eigvalsh``) of the even
@@ -335,11 +319,8 @@ def evaluate_design(
     Parameters
     ----------
     point:
-        Dimensionless operating point.
-    include_gates:
-        With gates (the default) both photons are restricted to the
-        central time bin of width ``t_hat``.  Without gates the full
-        train amplitude is kept (diagnostic mode).
+        Dimensionless operating point; both photons are restricted to
+        the central time bin of width ``t_hat``.
     kernel:
         ``"gated"`` projects on the fundamental mode of the gated state
         itself; ``"ungated"`` projects on the fundamental mode of the
@@ -349,7 +330,7 @@ def evaluate_design(
     if kernel not in ("gated", "ungated"):
         raise ParameterError(f"unknown kernel {kernel!r}")
 
-    grid, lo, blocks, weights = _parity_spectra([point], include_gates)
+    grid, lo, blocks, weights = _parity_spectra([point])
     weights = weights[0]
     total = float(weights.sum())
     lambda_sq = weights / total
@@ -375,13 +356,9 @@ def evaluate_design(
     )
 
 
-def read_in_efficiency(
-    point: DesignPoint,
-    include_gates: bool = True,
-    kernel: str = "gated",
-) -> float:
+def read_in_efficiency(point: DesignPoint, kernel: str = "gated") -> float:
     """Read-in efficiency eta_in at one design point.  See `evaluate_design`."""
-    return evaluate_design(point, include_gates=include_gates, kernel=kernel).eta_in
+    return evaluate_design(point, kernel=kernel).eta_in
 
 
 @dataclass(frozen=True)

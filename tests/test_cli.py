@@ -99,19 +99,11 @@ class TestEfficiencyCommand:
 
     def test_flags_override_config_file(self, runner, tmp_path):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "use_gates": False, "side_pulses": 2}))
-        payload = run_json(runner, ["efficiency", "--config", str(config), "--gates", "--side-pulses", "3"])
-        assert payload["config"]["use_gates"] is True and payload["config"]["side_pulses"] == 3
+        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "kernel": "ungated", "side_pulses": 2}))
+        payload = run_json(runner, ["efficiency", "--config", str(config), "--kernel", "gated", "--side-pulses", "3"])
+        assert payload["config"]["kernel"] == "gated" and payload["config"]["side_pulses"] == 3
         flag = run_json(runner, ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85"])
         assert payload == flag
-
-    def test_config_string_false_disables_gates(self, runner, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"t_hat": 4.0, "gamma_hat": 0.85, "use_gates": "false"}))
-        from_file = run_json(runner, ["efficiency", "--config", str(config)])
-        flag = run_json(runner, ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--no-gates"])
-        assert from_file["config"]["use_gates"] is False
-        assert from_file["eta_in"] == flag["eta_in"]
 
     def test_config_fractional_integer_rejected(self, runner, tmp_path):
         config = tmp_path / "run.json"
@@ -128,7 +120,8 @@ class TestEfficiencyCommand:
         assert "true" in result.output
 
     def test_ungated_kernel_without_gates(self, runner):
-        args = ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--no-gates"]
+        # The kernel of the single-pulse state without gates, projected on the gated photon.
+        args = ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85"]
         ungated = run_json(runner, args + ["--kernel", "ungated"])
         gated = run_json(runner, args + ["--kernel", "gated"])
         assert 0.0 < ungated["eta_in"] <= gated["eta_in"]
@@ -155,15 +148,10 @@ class TestEfficiencyCommand:
         lines = result.stderr.splitlines()
         assert len(lines) == 1
         assert "t_hat = 0.05 is below the lattice step 0.0625" in lines[0]
-        assert runner.invoke(main, args + ["--no-gates"]).exit_code == 0
 
     @pytest.mark.parametrize(
         "args,name",
         [
-            (
-                ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--no-gates", "--side-pulses", str(10**400)],
-                "n_side_pulses",
-            ),
             (
                 ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--side-pulses", str(10**400)],
                 "n_side_pulses",
@@ -187,19 +175,18 @@ class TestEfficiencyCommand:
         assert result.exit_code == 4
 
     def test_lattice_over_cap_is_numerical_error(self, runner):
-        # The byte sizes of the last six overflow a float.  The step shrinks
-        # with gamma_hat but stays positive, so an extreme filter meets the
-        # cap too; a RuntimeWarning on the way would be an error in this suite.
-        for t_hat, gamma_hat, gates in [
-            ("1e9", "1", "--no-gates"),
-            ("1e308", "1", "--no-gates"),
-            ("2", "1e-300", "--no-gates"),
-            ("1e300", "1e-300", "--gates"),
-            ("4", "1e300", "--gates"),
-            ("4", "1e308", "--gates"),
-            ("4", "1.7e308", "--gates"),
+        # Every byte size here overflows a float, and the last node count is
+        # infinite itself.  The step shrinks with gamma_hat but stays
+        # positive, so an extreme filter meets the cap too; a RuntimeWarning
+        # on the way would be an error in this suite.
+        for t_hat, gamma_hat in [
+            ("1e300", "1e-300"),
+            ("4", "1e300"),
+            ("4", "1e308"),
+            ("4", "1.7e308"),
+            ("1e308", "1e-308"),
         ]:
-            result = runner.invoke(main, ["efficiency", "--t-hat", t_hat, "--gamma-hat", gamma_hat, gates])
+            result = runner.invoke(main, ["efficiency", "--t-hat", t_hat, "--gamma-hat", gamma_hat])
             assert result.exit_code == 4, (t_hat, gamma_hat)
             assert result.stdout == ""
             lines = result.stderr.splitlines()
@@ -566,23 +553,33 @@ def test_out_of_range_integer_option_is_usage_error(runner, tmp_path, command, o
     assert f"'{option}'" in result.output and value in result.output
 
 
+# Retired options, as flags and as config keys: the lattice density follows
+# from the design point, the marginal spectrum has a fixed axis, and design
+# evaluation always gates.
+RETIRED_OPTIONS = {
+    "efficiency": [(["--points-per-sigma", "16"], {"points_per_sigma": 16}),
+                   (["--no-gates"], {"use_gates": False}),
+                   (["--gates"], {"use_gates": True})],
+    "sweep": [(["--points-per-sigma", "16"], {"points_per_sigma": 16})],
+    "spectrum": [(["--points", "16"], {"points": 16})],
+}
+
+
 @pytest.mark.parametrize("command", ["efficiency", "sweep", "spectrum"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_retired_points_per_sigma_is_usage_error(runner, tmp_path, command, source):
-    # Both retired axis options: the lattice density follows from the design
-    # point, and the marginal spectrum has a fixed axis.
-    key = "points" if command == "spectrum" else "points_per_sigma"
-    args = command_args(tmp_path)[command]
-    if source == "flag":
-        args = args + ["--" + key.replace("_", "-"), "16"]
-    else:
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: 16}))
-        args = args + ["--config", str(config)]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 2
-    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert len(errors) == 1 and ("--" + key.replace("_", "-") if source == "flag" else key) in errors[0]
+    for flag, entry in RETIRED_OPTIONS[command]:
+        args = command_args(tmp_path)[command]
+        if source == "flag":
+            args = args + flag
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(entry))
+            args = args + ["--config", str(config)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (flag, entry)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and (flag[0] if source == "flag" else next(iter(entry))) in errors[0]
 
 
 def readme_api():

@@ -56,20 +56,17 @@ def lattice_step(point):
     return 1.0 / (16 * math.ceil(point.gamma_hat / 8))
 
 
-def assembled_jta(point, include_gates=True, step=None):
+def assembled_jta(point, step=None):
     """The point's amplitude assembled on its full lattice (the library's step by default), gated by a mask."""
     step = lattice_step(point) if step is None else step
     local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
     train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
     filt = GaussianFilterSpec(gamma=point.gamma_hat)
-    if include_gates:
-        grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
-        return assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid_i=grid, grid_s=grid)
-    grid = midpoint_grid(point.n_side_pulses * point.t_hat + local, step)
-    return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
+    grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
+    return assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid_i=grid, grid_s=grid)
 
 
-def ungated_kernel_eta_by_svd(point, include_gates=True, step=None):
+def ungated_kernel_eta_by_svd(point, step=None):
     """eta_in with the ungated kernel, the kernel taken from an SVD.
 
     The kernel is the signal fundamental of the single-pulse ungated
@@ -79,7 +76,7 @@ def ungated_kernel_eta_by_svd(point, include_gates=True, step=None):
     step = lattice_step(point) if step is None else step
     local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
     filt = GaussianFilterSpec(gamma=point.gamma_hat)
-    jta = assembled_jta(point, include_gates, step)
+    jta = assembled_jta(point, step)
     grid = jta.axis_s
 
     wide = midpoint_grid(max(local, grid.t_max + 0.5 * step), step)
@@ -93,17 +90,16 @@ def ungated_kernel_eta_by_svd(point, include_gates=True, step=None):
     return overlap / reference_norm_lattice_sum(point.gamma_hat, step)
 
 
-def svd_report(point, include_gates=True, kernel="gated", step=None):
+def svd_report(point, kernel="gated", step=None):
     """eta_in, purity, gating loss and lambda^2 head from the whole assembled block.
 
     Without the library's parity fold and node trim: the squared singular
     values of the assembled block J, taken as the eigenvalues of J^T J by
-    ``eigvalsh`` (about 3x faster than an SVD at the 2912 x 2026 no-gates
-    block), scaled by the cell area, against the lattice-sum reference norm.  On
-    the library's lattice by default; ``step`` picks another.
+    ``eigvalsh``, scaled by the cell area, against the lattice-sum reference
+    norm.  On the library's lattice by default; ``step`` picks another.
     """
     step = lattice_step(point) if step is None else step
-    values = assembled_jta(point, include_gates, step).values
+    values = assembled_jta(point, step).values
     # A row or column of exact zeros carries no singular value.
     values = values[np.ix_(values.any(axis=1), values.any(axis=0))]
     weights = np.linalg.eigvalsh(values.T @ values)[::-1] * step * step
@@ -112,7 +108,7 @@ def svd_report(point, include_gates=True, kernel="gated", step=None):
     if kernel == "gated":
         eta = weights[0] / reference
     else:
-        eta = ungated_kernel_eta_by_svd(point, include_gates, step)
+        eta = ungated_kernel_eta_by_svd(point, step)
     return {
         "eta_in": eta,
         "purity": float((lambda_sq**2).sum()),
@@ -138,9 +134,9 @@ def gauss_legendre_eta(point, n):
     return np.linalg.svd(values, compute_uv=False)[0] ** 2 / (math.pi / (2.0 * point.gamma_hat))
 
 
-def assert_matches_svd_oracle(point, include_gates, kernel, step=None):
-    report = evaluate_design(point, include_gates=include_gates, kernel=kernel)
-    oracle = svd_report(point, include_gates, kernel, step)
+def assert_matches_svd_oracle(point, kernel, step=None):
+    report = evaluate_design(point, kernel=kernel)
+    oracle = svd_report(point, kernel, step)
     assert abs(report.eta_in - oracle["eta_in"]) <= 1e-12
     assert abs(report.purity - oracle["purity"]) <= 1e-12
     assert abs(report.gating_loss - oracle["gating_loss"]) <= 1e-12
@@ -186,13 +182,12 @@ class TestMidpointLattice:
     @pytest.mark.parametrize("t_hat", [1.0 / 16.0, 0.1, 0.125, 3.0 / 16.0, 0.25])
     def test_narrow_gate_matches_svd_oracle(self, t_hat, kernel):
         # Down to t_hat = step, where the outer nodes sit on the gate edge.
-        assert_matches_svd_oracle(DesignPoint(t_hat, 0.9), True, kernel)
+        assert_matches_svd_oracle(DesignPoint(t_hat, 0.9), kernel)
 
     def test_gate_without_nodes_refused(self):
         refusal = r"t_hat = 0\.05 is below the lattice step 0\.0625"
         with pytest.raises(ParameterError, match=refusal):
             evaluate_design(DesignPoint(t_hat=0.05, gamma_hat=0.9))
-        assert read_in_efficiency(DesignPoint(t_hat=0.05, gamma_hat=0.9), include_gates=False) > 0.0
         emap = sweep_design_space((0.04, 0.09), (0.5, 0.9), (2, 2))
         assert np.isnan(emap.eta_in[0]).all() and np.isfinite(emap.eta_in[1]).all()
         assert [(t, g) for t, g, _ in emap.failures] == [(0.04, 0.5), (0.04, 0.9)]
@@ -247,11 +242,6 @@ class TestReadInEfficiency:
         near = evaluate_design(DesignPoint(t_hat=11.0, gamma_hat=0.85, n_side_pulses=3))
         assert far == near
 
-    def test_gates_disabled_single_pulse_identity(self):
-        point = DesignPoint(t_hat=4.0, gamma_hat=0.7, n_side_pulses=0)
-        eta = read_in_efficiency(point, include_gates=False)
-        assert eta == pytest.approx(closed_form_top_weight(0.7), abs=5e-4)
-
     def test_gated_kernel_bounds_ungated_kernel(self):
         for t_hat, gamma_hat in ((2.0, 0.9), (6.0, 0.5), (11.0, 0.85)):
             point = DesignPoint(t_hat=t_hat, gamma_hat=gamma_hat)
@@ -270,44 +260,33 @@ class TestReadInEfficiency:
         eta = read_in_efficiency(point, kernel="ungated")
         assert abs(eta - ungated_kernel_eta_by_svd(point)) <= 1e-12
 
-    def test_ungated_kernel_without_gates_spans_the_train(self):
-        # The evaluated lattice holds all side pulses, so it is wider than the
-        # single pulse's own support.
-        point = DesignPoint(t_hat=4.0, gamma_hat=0.85, n_side_pulses=3)
-        ungated = read_in_efficiency(point, include_gates=False, kernel="ungated")
-        gated = read_in_efficiency(point, include_gates=False, kernel="gated")
-        assert ungated <= gated + 1e-12
-        assert abs(ungated - ungated_kernel_eta_by_svd(point, include_gates=False)) <= 1e-12
-
     @pytest.mark.parametrize(
-        "t_hat,gamma_hat,side_pulses,include_gates,kernel",
+        "t_hat,gamma_hat,side_pulses,kernel",
         [
-            (12.0, 0.1, 3, True, "gated"),
-            (11.0, 0.85, 3, True, "gated"),
-            (2.0, 0.9268, 3, True, "gated"),
-            (6.0, 0.5, 3, True, "ungated"),
-            (11.0, 0.85, 3, True, "ungated"),
-            (4.0, 0.7, 0, False, "gated"),
-            (4.0, 0.85, 3, False, "gated"),
-            (4.0, 0.85, 3, False, "ungated"),
+            (12.0, 0.1, 3, "gated"),
+            (11.0, 0.85, 3, "gated"),
+            (2.0, 0.9268, 3, "gated"),
+            (6.0, 0.5, 3, "ungated"),
+            (11.0, 0.85, 3, "ungated"),
         ],
     )
-    def test_eigen_route_matches_svd_oracle(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
-        assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), include_gates, kernel)
+    def test_eigen_route_matches_svd_oracle(self, t_hat, gamma_hat, side_pulses, kernel):
+        assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), kernel)
 
-    def test_trimmed_no_gates_block_matches_svd_oracle(self):
-        # Without gates the lattice spans the filter tails of the whole train,
-        # while the signal axis holds only the pump pulses: the parity blocks
-        # are built on fewer nodes than the upper half has.
-        point = DesignPoint(t_hat=12.0, gamma_hat=0.1)
-        grid, lo, blocks, _ = mi._parity_spectra([point], include_gates=False)
-        assert grid.n_points // 2 == 1456
-        assert blocks.shape == (2, 1, 671, 671) and lo == 1456 - 671
+    def test_trimmed_gated_block_matches_svd_oracle(self):
+        # A gate much wider than the pump pulse at a narrow filter: the lattice
+        # spans the gate, while the signal axis holds only the central pump
+        # pulse, so the parity blocks are built on fewer nodes than the upper
+        # half has.
+        point = DesignPoint(t_hat=40.0, gamma_hat=0.1)
+        grid, lo, blocks, _ = mi._parity_spectra([point])
+        assert grid.n_points // 2 == 320
+        assert blocks.shape == (2, 1, 96, 96) and lo == 320 - 96
         # The trim reads the pump alone; the dropped nodes at both ends carry
         # under eps^2 / 4 of the trace of rho = J^T J on the full lattice.
-        mass = np.square(assembled_jta(point, include_gates=False).values).sum(axis=0)
+        mass = np.square(assembled_jta(point).values).sum(axis=0)
         assert mass[:lo].sum() + mass[-lo:].sum() <= 0.25 * np.finfo(float).eps ** 2 * mass.sum()
-        assert_matches_svd_oracle(point, False, "gated")
+        assert_matches_svd_oracle(point, "gated")
 
     def test_report_consistency(self):
         report = evaluate_design(DesignPoint(t_hat=3.0, gamma_hat=0.9))
@@ -325,8 +304,9 @@ class TestReadInEfficiency:
         start = time.perf_counter()
         with pytest.raises(ParameterError, match="16160"):
             evaluate_design(point)
-        with pytest.raises(ParameterError, match="exceeds the cap"):
-            evaluate_design(DesignPoint(t_hat=1e9, gamma_hat=1.0), include_gates=False)
+        # A node count that overflows to infinity meets the cap as well.
+        with pytest.raises(ParameterError, match="lattice of inf x inf points"):
+            evaluate_design(DesignPoint(t_hat=1e308, gamma_hat=1e-308))
         # The step shrinks with gamma_hat and stays positive up to the float
         # maximum, so an extreme filter meets the cap (and, with RuntimeWarning
         # an error in this suite, raises no overflow warning on the way).
@@ -364,19 +344,18 @@ class TestReadInEfficiency:
         assert abs(read_in_efficiency(point) - fine) < 1e-3
 
 
-# Continuous t_hat draws land off the lattice; both kernels, gates on or off.
+# Continuous t_hat draws land off the lattice; both kernels.
 DESIGN_DRAWS = given(
     t_hat=st.floats(2.0, 12.0),
     gamma_hat=st.floats(0.1, 3.0),
     side_pulses=st.integers(0, 3),
-    include_gates=st.booleans(),
     kernel=st.sampled_from(["gated", "ungated"]),
 )
 
 
-def folded_gram_oracle(point, include_gates):
+def folded_gram_oracle(point):
     """Parity blocks G+- of J^T J, with J assembled on the full lattice."""
-    values = assembled_jta(point, include_gates).values
+    values = assembled_jta(point).values
     half = values.shape[1] // 2
     rows = values.T[:half] @ values  # rho[p, :] for the upper nodes p
     upper, mirrored = rows[:, :half], rows[:, : half - 1 : -1]
@@ -411,16 +390,10 @@ class TestParityFold:
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
-    # Two mirrored side pulses without gates: the top even and odd weights
-    # differ by about 5 eps relative, and with one BLAS thread eigvalsh
-    # puts the odd one on top.
-    @example(t_hat=9.5, gamma_hat=1.25, side_pulses=1, include_gates=False, kernel="gated")
-    def test_blocks_match_folded_gram_of_assembled_amplitude(
-        self, t_hat, gamma_hat, side_pulses, include_gates, kernel
-    ):
+    def test_blocks_match_folded_gram_of_assembled_amplitude(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        even, odd = folded_gram_oracle(point, include_gates)
-        _, lo, blocks, _ = mi._parity_spectra([point], include_gates)
+        even, odd = folded_gram_oracle(point)
+        _, lo, blocks, _ = mi._parity_spectra([point])
         scale = np.abs(even).max()
         assert np.abs(blocks[0, 0] - even[lo:, lo:]).max() <= 1e-13 * scale
         assert np.abs(blocks[1, 0] - odd[lo:, lo:]).max() <= 1e-13 * scale
@@ -433,19 +406,18 @@ class TestParityFold:
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
-    # A single pulse without gates has Hermite-Gauss modes of alternating
-    # parity, so its second Schmidt weight comes from the odd block.
-    @example(t_hat=12.0, gamma_hat=0.1, side_pulses=0, include_gates=False, kernel="gated")
-    def test_folded_evaluation_matches_full_lattice_oracle(
-        self, t_hat, gamma_hat, side_pulses, include_gates, kernel
-    ):
-        assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), include_gates, kernel)
+    # A single pulse has Hermite-Gauss modes of alternating parity, and the
+    # gate at t_hat = 12 keeps that order: the second Schmidt weight comes
+    # from the odd block.
+    @example(t_hat=12.0, gamma_hat=0.1, side_pulses=0, kernel="gated")
+    def test_folded_evaluation_matches_full_lattice_oracle(self, t_hat, gamma_hat, side_pulses, kernel):
+        assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), kernel)
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
-    def test_power_iteration_matches_eigvalsh(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
+    def test_power_iteration_matches_eigvalsh(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        grid, _, blocks, weights = mi._parity_spectra([point], include_gates, odd=False)
+        grid, _, blocks, weights = mi._parity_spectra([point], odd=False)
         expected = np.linalg.eigvalsh(blocks[0])[:, -1]
         # The library's Hermite-Gauss start vector, and a flat one.
         assert abs(weights[0, 0] / grid.step**2 - expected[0]) <= 1e-13 * expected[0]
@@ -454,10 +426,10 @@ class TestParityFold:
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @DESIGN_DRAWS
-    def test_efficiency_bounds(self, t_hat, gamma_hat, side_pulses, include_gates, kernel):
+    def test_efficiency_bounds(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        gated = read_in_efficiency(point, include_gates=include_gates, kernel="gated")
-        ungated = read_in_efficiency(point, include_gates=include_gates, kernel="ungated")
+        gated = read_in_efficiency(point, kernel="gated")
+        ungated = read_in_efficiency(point, kernel="ungated")
         assert ungated <= gated + 1e-12
         if side_pulses == 0:
             # With side pulses the single-pulse bound does not hold.
@@ -494,9 +466,10 @@ class TestTopEigenvalue:
             assert alone[0] == stacked[cell]
 
     def test_near_degenerate_cell_falls_back_to_eigvalsh(self, monkeypatch):
-        # Without gates one side pulse per side gives two mirrored pulses of
-        # nearly equal weight in the even block: lambda_2 / lambda_1 ~ 1.
-        point = DesignPoint(5.5, 2.0, n_side_pulses=1)
+        # A well-separated cell converges; in the second lambda_2 / lambda_1
+        # ~ 0.998, so 32 power steps shrink the residual by only ~7%.
+        blocks = np.array([[[2.0, 0.1], [0.1, 0.5]], [[1.0, 1e-3], [1e-3, 0.999]]])
+        expected = np.linalg.eigvalsh(blocks)[:, -1]
         shapes = []
         real = np.linalg.eigvalsh
 
@@ -505,10 +478,10 @@ class TestTopEigenvalue:
             return real(matrices)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        _, _, blocks, _ = mi._parity_spectra([point], include_gates=False, odd=False)
-        assert shapes == [(1, *blocks.shape[2:])]
-        monkeypatch.undo()
-        assert_matches_svd_oracle(point, False, "gated")
+        top = mi._top_eigenvalue(blocks, np.ones((2, 2)))
+        assert shapes == [(1, 2, 2)]
+        assert top[1] == expected[1]
+        assert abs(top[0] - expected[0]) <= 1e-13 * expected[0]
 
 
 class TestSweep:
