@@ -175,8 +175,8 @@ def sweep(cfg: dict) -> dict:
     """Sweep the design rectangle and report per-row optima.
 
     Cells of a row that share a lattice are evaluated in batches, one
-    batched power iteration for the top eigenvalue of their even signal
-    Gram blocks each, on a thread pool of one thread per CPU the process
+    batched power iteration for the top singular value of their even
+    parity blocks each, on a thread pool of one thread per CPU the process
     may run on (taskset caps it); results do not depend on the thread
     count.
     """

@@ -36,31 +36,32 @@ SUPPORT_HALF_WIDTH = 5.0
 
 # Largest lattice, in points per axis, that a design point may ask for:
 # design evaluation then holds the two (n/2) x (n/2) parity blocks of the
-# signal Gram matrix, the cross term they share and eigvalsh's copy, 4 * 8 *
-# 2048^2 B = 134 MB (130 MB peak measured at n = 4080); a sweep builds the
-# even block alone, one cell per stack at this size, whose power iteration
-# copies nothing, so three blocks with the cross term and a temporary
-# (98 MB there, a cell that falls back to eigvalsh included).
+# value matrix and the SVD's copy of one, 3 * 8 * 2048^2 B = 101 MB, so a
+# process evaluating it stays under 160 MB; a sweep builds the even block
+# alone, one cell per stack at this size.  The largest lattice the step rule
+# admits is n = 4020, at (12, 200): there `efficiency` peaks at 126 MB RSS
+# and takes 7.0 s, a one-cell `sweep` 62 MB and 0.3 s (one BLAS thread).
 # The gated acceptance rectangle needs at most 192 points; t_hat = 1e4 at
 # gamma_hat = 0.01 would ask for 16160.
 MAX_LATTICE_POINTS = 4096
 
 # Byte budget of one stack of (n/2) x (n/2) even blocks in a sweep batch.
-# With the power iteration of `_top_eigenvalue` the 32x64 sweep takes 0.17 /
-# 0.13 / 0.16 s serially and 0.20 / 0.10 / 0.12 s on a pool of two at 256 KB
-# / 1 MB / 4 MB (medians of 15, shuffled): smaller stacks pay more Python
-# steps per cell, and larger ones stream each step's pass from beyond the
-# cache; one matrix per batch gives the batching gain back.
+# With the power iteration of `_top_eigenvalue` the 32x64 sweep takes 0.19 /
+# 0.11 / 0.11 s serially and 0.25 / 0.11 / 0.09 s on a pool of two at 256 KB
+# / 1 MB / 4 MB (medians of 15, shuffled, one BLAS thread, 2-CPU host):
+# smaller stacks pay more Python steps per cell.  Each worker holds one
+# stack, so 4 MB (or 8 MB, a tie) would cut the pool's time by a fifth for
+# 6.5 MB more peak RSS over the 37 MB of a process running the sweep.
 BATCH_BYTES = 1 << 20
 
-# Relative residual ||G x - theta x|| <= POWER_TOLERANCE theta that ends the
+# Relative residual ||K^T K x - theta x|| <= POWER_TOLERANCE theta that ends the
 # power iteration of `_top_eigenvalue`: by Kato-Temple theta is then within
 # ||r||^2 / (theta - lambda_2), about 1e-26 lambda_1 on the acceptance
 # rectangle (lambda_2 <= 0.173 lambda_1), of lambda_1, while the residual's
 # own round-off, about sqrt(m) eps theta, stays below it up to m = 2048.
 POWER_TOLERANCE = 1e-13
 
-# Power steps before a cell falls back to eigvalsh: the residual shrinks by
+# Power steps before a cell falls back to the SVD: the residual shrinks by
 # lambda_2 / lambda_1 per step, so 32 steps reach POWER_TOLERANCE for ratios
 # up to 1e-13^(1/32) = 0.39, against at most 0.173 (17 steps) on the
 # acceptance rectangle.
@@ -93,11 +94,7 @@ class DesignReport:
     """Full numerical characterisation of one design point.
 
     ``lambda_sq_head`` holds the eight largest Schmidt weights over their
-    sum.  Every weight but the first comes from ``eigvalsh`` of a parity
-    block and carries an absolute round-off of order eps * lambda_1, so
-    weights below about 1e-15 read as that floor: at (12, 0.1) entries
-    5-7 read 2.0e-16, 1.7e-16 and 1.5e-16, where the SVD of the assembled
-    amplitude gives 6e-18, 9e-22 and 1e-25.
+    sum.
     """
 
     eta_in: float
@@ -118,7 +115,7 @@ def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
     order.  Otherwise the outer cell keeps its full weight and the error
     is O(step), not falling under refinement: at t_hat = 2.3226, gamma_hat
     = 0.4317 eta_in is off the exact value by +1.68e-2 / -3.2e-3 / -3.2e-3
-    / +1.8e-3 at 16 / 32 / 64 / 128 points per sigma (ROADMAP item 1,
+    / +1.8e-3 at 16 / 32 / 64 / 128 points per sigma (ROADMAP item 2,
     exact design evaluation).  The node count is even, so the lattice
     folds into two mirrored halves (see `_parity_spectra`).  A count
     above ``MAX_LATTICE_POINTS``, an infinite one included, raises
@@ -130,8 +127,7 @@ def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
         gigabytes = 8 * n_points * n_points / 1e9
         raise ParameterError(
             f"lattice of {n_points:.12g} x {n_points:.12g} points ({gigabytes:.3g} GB for "
-            f"the parity blocks of its Gram matrix) exceeds the cap of {MAX_LATTICE_POINTS} "
-            "points per axis"
+            f"its value matrix) exceeds the cap of {MAX_LATTICE_POINTS} points per axis"
         )
     edge = (count - 0.5) * step
     return TimeGrid(int(n_points), -edge, edge)
@@ -168,86 +164,79 @@ def _lattice(point: DesignPoint) -> TimeGrid:
     return _midpoint_grid(min(0.5 * point.t_hat, local), step)
 
 
-def _hankel(values: np.ndarray, rows: int, cols: int, stride: int = 1) -> np.ndarray:
-    """Read-only view [:, a, b] -> values[:, a + stride * b] of a ``(k, L)`` array, L >= rows + stride * (cols - 1)."""
-    return sliding_window_view(values, stride * (cols - 1) + 1, axis=-1)[:, :rows, ::stride]
-
-
 def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGrid, int, np.ndarray, np.ndarray]:
-    """Schmidt weights of points that share a lattice, from the parity blocks of the signal Gram matrix.
+    """Schmidt weights of points that share a lattice, from the parity blocks of the value matrix.
 
     The points must differ in ``gamma_hat`` only and share one lattice.
     Idler and signal share its nodes t_p = (p - n/2 + 1/2) h, and the
-    gate is the lattice (see `_lattice`), so with w(r) = exp(-(gamma_hat
-    h r)^2 / 2) the idler sums out of the value matrix J[i, p] = exp(-(gamma_hat (t_i - t_p))^2) Omega(t_p):
+    gate is the lattice (see `_lattice`), so with w(r) = exp(-(gamma_hat h
+    r)^2) the gated amplitude is the value matrix J[i, p] = w(i - p) Omega_p.
 
-        rho = J^T J,   rho[p, q] = Omega_p Omega_q w(p - q) H(p + q),   H(s) = sum_{i<n} w(2i - s).
+    J is even under (i, p) -> (n-1-i, n-1-p), so its singular values are
+    those of the two parity blocks over the idler rows i < n/2,
 
-    The amplitude is even under (t_i, t_s) -> (-t_i, -t_s), so rho is
-    orthogonally similar to diag(G+, G-), G+-[p, q] = rho[p, q] +-
-    rho[p, n-1-q] over p, q < n/2: the even and odd Schmidt modes (Law,
-    Walmsley & Eberly, PRL 84, 5304 (2000)).  The blocks are products of
-    strided Toeplitz and Hankel views of w and H.  rho is entrywise
-    positive, so by Perron-Frobenius its top eigenvector is positive,
-    hence even: G+ holds the top weight lambda_1, which `_top_eigenvalue`
-    finds by power iteration from the Hermite-Gauss fundamental
-    exp(-sqrt(1 + gamma_hat^2) t^2) of the single-pulse state.  With
-    ``odd=True`` both blocks also go through ``eigvalsh``, and the even
-    block's top is replaced by the power iteration's value, so a sweep
-    cell and `evaluate_design` report the same lambda_1 bit for bit; with
-    ``odd=False`` nothing is diagonalised.
+        K+-[i, q] = J[i, q] +- J[i, n-1-q] = Omega_q (w(i - q) +- w(i + q - (n - 1))),
 
-    Outer nodes whose pump weight Omega_p^2 totals less than eps^2 / 8 of
-    sum_{p<n/2} Omega_p^2 are dropped first.  H(2p) = sum_{j=-p}^{n-1-p} w(2j)
-    grows from the edge p = 0 to the centre, where it stays below twice
-    H(0), which sums one whole side of w; so the dropped nodes carry less
-    than eps^2 / 4 of the trace of rho, and by Weyl's inequality no weight
-    moves by more than the eigensolver's backward error.  The kept nodes
-    depend on the pump train and the lattice alone, so each point of a
-    stack keeps the nodes it keeps on its own.
+    whose Gram matrices K+-^T K+- are the diagonal blocks of the signal
+    Gram matrix J^T J in the even/odd basis: the even and odd Schmidt
+    modes (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  Both blocks are
+    windows of one table of w over |r| < n.  J^T J is entrywise positive,
+    so by Perron-Frobenius its top eigenvector is positive, hence even:
+    K+ holds the top weight lambda_1, which `_top_eigenvalue` finds by
+    power iteration from the Hermite-Gauss fundamental exp(-sqrt(1 +
+    gamma_hat^2) t^2) of the single-pulse state.  With ``odd=True`` both
+    blocks also go through the SVD, and the even block's top is replaced
+    by the power iteration's value, so a sweep cell and `evaluate_design`
+    report the same lambda_1 bit for bit; with ``odd=False`` nothing is
+    decomposed.
 
-    Returns the grid, the first kept node, the kept blocks ``(2, k, m, m)``
+    Outer signal columns whose pump weight Omega_q^2 totals less than
+    eps^2 / 8 of sum_{q<n/2} Omega_q^2 are dropped first.  Column q of K+
+    and K- together carries 2 Omega_q^2 S(q), S(q) = sum_{i<n} w(i - q)^2,
+    which grows from the edge q = 0 to the centre, where it stays below
+    twice S(0), which sums one whole side of w^2; so the dropped columns
+    carry less than eps^2 / 4 of ||K+||_F^2 + ||K-||_F^2, and by Weyl's
+    inequality no singular value moves by more than the SVD's backward
+    error.  The kept columns depend on the pump train and the lattice
+    alone, so each point of a stack keeps the columns it keeps on its own.
+
+    Returns the grid, the first kept column, the blocks ``(2, k, n/2, m)``
     (even first; one block with ``odd=False``) and the weights ``(k, n)``:
-    lambda_1 first, then the other eigenvalues in descending order (none
-    with ``odd=False``), which carry round-off of order eps * lambda_1,
-    clipped at zero, scaled by the cell area and zero-padded.
-    Raises :class:`ParameterError` when any amplitude vanishes.
+    lambda_1 first, then the other squared singular values in descending
+    order (none with ``odd=False``), scaled by the cell area and
+    zero-padded.  Raises :class:`ParameterError` when any amplitude
+    vanishes.
     """
     grid = _lattice(points[0])
     n, half, step = grid.n_points, grid.n_points // 2, grid.step
     gammas = np.array([p.gamma_hat for p in points])
-    # w[:, c + r] = w(r) for |r| <= c = 2n - 2, and H(s) = sum_j w[:, s + 2j].
-    center = 2 * n - 2
-    w = np.exp(-0.5 * np.square(np.multiply.outer(gammas, np.arange(-center, center + 1) * step)))
-    hank = _hankel(w, 2 * n - 1, n, stride=2).sum(axis=-1)
     train = PulseTrainSpec(sigma_p=1.0, period=points[0].t_hat, n_side_pulses=points[0].n_side_pulses)
     omega = train_amplitude(train, grid.points[:half])
     pump = omega**2
     lo = int(np.searchsorted(np.cumsum(pump), 0.125 * np.finfo(float).eps ** 2 * pump.sum()))
     size = half - lo
 
-    # rho[p, n-1-q] and rho[p, q] at p = lo + a, q = lo + b; reversing a or b makes a Hankel view Toeplitz.
-    # w is exactly even, so the direct term reads w(b - a) with its rows reversed, at unit inner stride.
-    w_win, h_win = (_hankel(values, values.shape[1] - size + 1, size) for values in (w, hank))
-    mirror = center + 2 * lo - (n - 1)
-    cross = w_win[:, mirror : mirror + size] * h_win[:, n - size : n, ::-1]
-    blocks = np.empty((2 if odd else 1, len(points), size, size))
-    np.multiply(w_win[:, center : center - size : -1], h_win[:, 2 * lo : 2 * lo + size], out=blocks[0])
+    # w[:, n - 1 + r] = w(r) for |r| < n; windows[:, s, b] = w[:, s + b] at column q = lo + b.  w is
+    # even, so w(i - q) = w(q - i) sits in window n - 1 + lo - i, and w(i + q - (n - 1)) in window lo + i.
+    w = np.exp(-np.square(np.multiply.outer(gammas, np.arange(1 - n, n) * step)))
+    windows = sliding_window_view(w, size, axis=-1)
+    direct, mirror = windows[:, n - 1 + lo : lo + half - 1 : -1], windows[:, lo : lo + half]
+    blocks = np.empty((2 if odd else 1, len(points), half, size))
+    np.add(direct, mirror, out=blocks[0])
     if odd:
-        np.subtract(blocks[0], cross, out=blocks[1])
-    blocks[0] += cross
-    blocks *= np.multiply.outer(omega[lo:], omega[lo:])
+        np.subtract(direct, mirror, out=blocks[1])
+    blocks *= omega[lo:]
     start = _signal_fundamental(gammas[:, None], grid.points[lo:half])
     weights = np.zeros((len(points), n))
     try:
         weights[:, 0] = _top_eigenvalue(blocks[0], start)
         if odd:
-            even, odd_spectrum = np.linalg.eigvalsh(blocks)
+            even, odd_spectrum = np.square(np.linalg.svd(blocks, compute_uv=False))
             # lambda_1 is the even block's top, which the routine's value replaces.
-            weights[:, 1 : 2 * size] = np.sort(np.hstack([even[:, :-1], odd_spectrum]), axis=1)[:, ::-1]
+            weights[:, 1 : 2 * size] = np.sort(np.hstack([even[:, 1:], odd_spectrum]), axis=1)[:, ::-1]
     except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigenvalue decomposition failed: {exc}") from exc
-    weights = np.clip(weights, 0.0, None) * (step * step)
+        raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
+    weights *= step * step
     if (weights[:, 0] <= 0).any():
         raise ParameterError("joint amplitude vanished at this design point")
     return grid, lo, blocks, weights
@@ -270,21 +259,22 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenvalue(blocks: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of each symmetric, entrywise-positive block of a ``(k, m, m)`` stack.
+    """Top eigenvalue of K^T K for each entrywise-positive block K of a ``(k, r, m)`` stack.
 
-    Batched power iteration from the positive ``(k, m)`` start vectors:
-    the result is the Rayleigh quotient theta of each cell at the first
-    step whose residual ||G x - theta x|| is at most ``POWER_TOLERANCE``
-    theta, so each cell stops on its own.  Every product and reduction is
-    a per-slice matmul, so a cell's value does not depend on the other
-    cells of its stack.  Cells not converged after ``POWER_STEPS`` steps,
-    where lambda_2 / lambda_1 is near one, take the top of ``eigvalsh``.
+    Batched power iteration x -> K^T (K x) from the positive ``(k, m)``
+    start vectors, which never forms K^T K: the result is the Rayleigh
+    quotient theta of each cell at the first step whose residual ||K^T K x
+    - theta x|| is at most ``POWER_TOLERANCE`` theta, so each cell stops on
+    its own.  Every product and reduction is a per-slice matmul, so a
+    cell's value does not depend on the other cells of its stack.  Cells
+    not converged after ``POWER_STEPS`` steps, where lambda_2 / lambda_1 is
+    near one, take the square of K's top singular value.
     """
     top = np.empty(len(blocks))
     todo = np.arange(len(blocks))
     x = start / np.sqrt(_rowwise_dot(start, start))[:, None]
     for _ in range(POWER_STEPS):
-        y = np.matmul(blocks, x[:, :, None])[:, :, 0]
+        y = np.matmul(np.matmul(blocks, x[:, :, None]).transpose(0, 2, 1), blocks)[:, 0]
         theta = _rowwise_dot(x, y)
         residual = y - theta[:, None] * x
         done = np.sqrt(_rowwise_dot(residual, residual)) <= POWER_TOLERANCE * theta
@@ -294,7 +284,7 @@ def _top_eigenvalue(blocks: np.ndarray, start: np.ndarray) -> np.ndarray:
                 return top
             todo, blocks, y = todo[~done], blocks[~done], y[~done]
         x = y / np.sqrt(_rowwise_dot(y, y))[:, None]
-    top[todo] = np.linalg.eigvalsh(blocks)[:, -1]
+    top[todo] = np.square(np.linalg.svd(blocks, compute_uv=False)[:, 0])
     return top
 
 
@@ -309,12 +299,11 @@ def _single_pulse_norm(gamma_hat):
 def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     """Evaluate the read-in efficiency and mode structure at one design point.
 
-    The Schmidt weights are the eigenvalues (``eigvalsh``) of the even
-    and odd parity blocks of the signal Gram matrix J^T J on the point's
-    lattice, built with the idler summed out, the top weight the power
-    iteration's value that a sweep reports (see `_parity_spectra`); the
-    lattice is bounded by ``MAX_LATTICE_POINTS`` before anything is
-    allocated.
+    The Schmidt weights are the squared singular values of the even and
+    odd parity blocks of the value matrix J on the point's lattice, the
+    top weight the power iteration's value that a sweep reports (see
+    `_parity_spectra`); the lattice is bounded by ``MAX_LATTICE_POINTS``
+    before anything is allocated.
 
     Parameters
     ----------
@@ -340,9 +329,10 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     if kernel == "gated":
         numerator = float(weights[0])
     else:
-        # <K| rho |K> = 2 K_u^T G+ K_u for the even single-pulse signal fundamental.
+        # <K| rho |K> = 2 ||K+ K_u||^2 for the even single-pulse signal fundamental.
         mode = _signal_fundamental(point.gamma_hat, grid.points[lo : grid.n_points // 2])
-        numerator = float(2.0 * mode @ blocks[0, 0] @ mode * grid.step**3)
+        projected = blocks[0, 0] @ mode
+        numerator = float(2.0 * (projected @ projected) * grid.step**3)
 
     return DesignReport(
         eta_in=numerator / reference,
@@ -434,11 +424,11 @@ def sweep_design_space(
     The cells of one row that share a lattice (see `_lattice`: its step
     follows from gamma_hat, so two cells may share a node count but not a
     step) are evaluated in batches of at most ``BATCH_BYTES`` of even
-    parity blocks G+ of the signal Gram matrix (see `_parity_spectra`):
-    a cell reports only the top weight, which G+ holds, so a batch is one
-    batched power iteration (`_top_eigenvalue`) in which each cell stops
-    on its own residual and falls back to ``eigvalsh`` only when it does
-    not converge.
+    parity blocks K+ of the value matrix (see `_parity_spectra`): a cell
+    reports only the top weight, which K+ holds, so a batch is one batched
+    power iteration (`_top_eigenvalue`) in which each cell stops on its
+    own residual and falls back to the SVD only when it does not
+    converge.
 
     Cell evaluations that fail numerically are recorded with their
     coordinates in ``failures`` and leave a NaN cell instead of

@@ -276,17 +276,27 @@ class TestReadInEfficiency:
     def test_trimmed_gated_block_matches_svd_oracle(self):
         # A gate much wider than the pump pulse at a narrow filter: the lattice
         # spans the gate, while the signal axis holds only the central pump
-        # pulse, so the parity blocks are built on fewer nodes than the upper
-        # half has.
+        # pulse, so the parity blocks keep every idler row of the upper half
+        # but fewer signal columns.
         point = DesignPoint(t_hat=40.0, gamma_hat=0.1)
         grid, lo, blocks, _ = mi._parity_spectra([point])
         assert grid.n_points // 2 == 320
-        assert blocks.shape == (2, 1, 96, 96) and lo == 320 - 96
-        # The trim reads the pump alone; the dropped nodes at both ends carry
+        assert blocks.shape == (2, 1, 320, 96) and lo == 320 - 96
+        # The trim reads the pump alone; the dropped columns at both ends carry
         # under eps^2 / 4 of the trace of rho = J^T J on the full lattice.
         mass = np.square(assembled_jta(point).values).sum(axis=0)
         assert mass[:lo].sum() + mass[-lo:].sum() <= 0.25 * np.finfo(float).eps ** 2 * mass.sum()
         assert_matches_svd_oracle(point, "gated")
+
+    def test_small_weights_match_svd_of_assembled_amplitude(self):
+        # The weights are squared singular values, so small ones are not
+        # floored at eps * lambda_1 as eigenvalues of J^T J would be: entries
+        # 5-7 are 6.07e-18, 9.08e-22 and 1.16e-25 here.
+        point = DesignPoint(12.0, 0.1, n_side_pulses=3)
+        weights = np.square(np.linalg.svd(assembled_jta(point).values, compute_uv=False))
+        expected = weights[:8] / weights.sum()
+        head = np.array(evaluate_design(point).lambda_sq_head)
+        assert (np.abs(head - expected) <= 1e-4 * expected).all()
 
     def test_report_consistency(self):
         report = evaluate_design(DesignPoint(t_hat=3.0, gamma_hat=0.9))
@@ -353,6 +363,14 @@ DESIGN_DRAWS = given(
 )
 
 
+def folded_value_oracle(point):
+    """Parity blocks K+- of J's upper idler rows, with J assembled on the full lattice."""
+    values = assembled_jta(point).values
+    half = values.shape[1] // 2
+    upper, mirrored = values[:half, :half], values[:half, : half - 1 : -1]
+    return upper + mirrored, upper - mirrored
+
+
 def folded_gram_oracle(point):
     """Parity blocks G+- of J^T J, with J assembled on the full lattice."""
     values = assembled_jta(point).values
@@ -364,41 +382,46 @@ def folded_gram_oracle(point):
 
 class TestParityFold:
     def test_no_full_lattice_matrix_is_formed(self, monkeypatch):
-        shapes = {"top": [], "eigvalsh": []}
-        real_top, real_eigvalsh = mi._top_eigenvalue, np.linalg.eigvalsh
+        shapes = {"top": [], "svd": []}
+        real_top, real_svd = mi._top_eigenvalue, np.linalg.svd
 
         def spy_top(blocks, start):
             shapes["top"].append(blocks.shape)
             return real_top(blocks, start)
 
-        def spy_eigvalsh(matrices):
-            shapes["eigvalsh"].append(matrices.shape)
-            return real_eigvalsh(matrices)
+        def spy_svd(matrices, *args, **kwargs):
+            shapes["svd"].append(matrices.shape)
+            return real_svd(matrices, *args, **kwargs)
 
         monkeypatch.setattr(mi, "_top_eigenvalue", spy_top)
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
         # Both cells have the 192-node lattice, so they make one batch.
         sweep_design_space((12.0, 12.0), (0.1, 0.2), (1, 2), workers=1)
         # The sweep hands the even blocks only to the power iteration, k
-        # matrices of at most n/2 rows, and diagonalises nothing.
+        # matrices of at most n/2 rows and columns, and decomposes nothing.
         assert len(shapes["top"]) == 1 and shapes["top"][0][0] == 2 and max(shapes["top"][0][1:]) <= 96
-        assert shapes["eigvalsh"] == []
+        assert shapes["svd"] == []
         evaluate_design(DesignPoint(12.0, 0.1))
         assert len(shapes["top"]) == 2 and shapes["top"][1][0] == 1 and max(shapes["top"][1][1:]) <= 96
-        assert len(shapes["eigvalsh"]) == 1 and shapes["eigvalsh"][0][:2] == (2, 1)
-        assert max(shapes["eigvalsh"][0][2:]) <= 96
+        assert len(shapes["svd"]) == 1 and shapes["svd"][0][:2] == (2, 1)
+        assert max(shapes["svd"][0][2:]) <= 96
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
     def test_blocks_match_folded_gram_of_assembled_amplitude(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        even, odd = folded_gram_oracle(point)
         _, lo, blocks, _ = mi._parity_spectra([point])
+        plus, minus = folded_value_oracle(point)
+        scale = np.abs(plus).max()
+        assert np.abs(blocks[0, 0] - plus[:, lo:]).max() <= 1e-13 * scale
+        assert np.abs(blocks[1, 0] - minus[:, lo:]).max() <= 1e-13 * scale
+        # K+-^T K+- are the parity blocks of the signal Gram matrix J^T J.
+        even, odd = folded_gram_oracle(point)
         scale = np.abs(even).max()
-        assert np.abs(blocks[0, 0] - even[lo:, lo:]).max() <= 1e-13 * scale
-        assert np.abs(blocks[1, 0] - odd[lo:, lo:]).max() <= 1e-13 * scale
+        assert np.abs(blocks[0, 0].T @ blocks[0, 0] - even[lo:, lo:]).max() <= 1e-13 * scale
+        assert np.abs(blocks[1, 0].T @ blocks[1, 0] - odd[lo:, lo:]).max() <= 1e-13 * scale
         # Perron-Frobenius: the top weight lies in the even block, the only
-        # one a sweep diagonalises.  Where the parities are degenerate the
+        # one a sweep decomposes.  Where the parities are degenerate the
         # two tops agree to within eigvalsh's backward error, m eps ||G+||_2
         # for blocks of order m.
         top_even, top_odd = np.linalg.eigvalsh(even)[-1], np.linalg.eigvalsh(odd)[-1]
@@ -418,10 +441,11 @@ class TestParityFold:
     def test_power_iteration_matches_eigvalsh(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
         grid, _, blocks, weights = mi._parity_spectra([point], odd=False)
-        expected = np.linalg.eigvalsh(blocks[0])[:, -1]
+        even = blocks[0]
+        expected = np.linalg.eigvalsh(even.transpose(0, 2, 1) @ even)[:, -1]
         # The library's Hermite-Gauss start vector, and a flat one.
         assert abs(weights[0, 0] / grid.step**2 - expected[0]) <= 1e-13 * expected[0]
-        flat = mi._top_eigenvalue(blocks[0], np.ones(blocks.shape[2:3])[None])
+        flat = mi._top_eigenvalue(even, np.ones(even.shape[2:3])[None])
         assert abs(flat[0] - expected[0]) <= 1e-13 * expected[0]
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -459,29 +483,32 @@ class TestTopEigenvalue:
         # 192-node lattice and stop after different numbers of steps.
         points = [DesignPoint(12.0, float(g)) for g in np.linspace(0.1, 2.0, 64)]
         _, _, blocks, _ = mi._parity_spectra(points, odd=False)
-        start = np.random.default_rng(5).uniform(0.5, 1.0, blocks.shape[1:3])
+        start = np.random.default_rng(5).uniform(0.5, 1.0, (len(points), blocks.shape[3]))
         stacked = mi._top_eigenvalue(blocks[0], start)
         for cell in range(len(points)):
             alone = mi._top_eigenvalue(blocks[0, cell : cell + 1].copy(), start[cell : cell + 1].copy())
             assert alone[0] == stacked[cell]
 
-    def test_near_degenerate_cell_falls_back_to_eigvalsh(self, monkeypatch):
-        # A well-separated cell converges; in the second lambda_2 / lambda_1
-        # ~ 0.998, so 32 power steps shrink the residual by only ~7%.
-        blocks = np.array([[[2.0, 0.1], [0.1, 0.5]], [[1.0, 1e-3], [1e-3, 0.999]]])
-        expected = np.linalg.eigvalsh(blocks)[:, -1]
-        shapes = []
-        real = np.linalg.eigvalsh
+    def test_near_degenerate_cell_falls_back_to_svd(self, monkeypatch):
+        # K is the symmetric square root of K^T K.  A well-separated cell
+        # converges; in the second lambda_2 / lambda_1 ~ 0.998, so 32 power
+        # steps shrink the residual by only ~7%.
+        grams = np.array([[[2.0, 0.1], [0.1, 0.5]], [[1.0, 1e-3], [1e-3, 0.999]]])
+        values, vectors = np.linalg.eigh(grams)
+        blocks = (vectors * np.sqrt(values)[:, None, :]) @ vectors.transpose(0, 2, 1)
+        expected = values[:, -1]
+        calls = []
+        real = np.linalg.svd
 
-        def spy(matrices):
-            shapes.append(matrices.shape)
-            return real(matrices)
+        def spy(matrices, *args, **kwargs):
+            calls.append(real(matrices, *args, **kwargs))
+            return calls[-1]
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, "svd", spy)
         top = mi._top_eigenvalue(blocks, np.ones((2, 2)))
-        assert shapes == [(1, 2, 2)]
-        assert top[1] == expected[1]
-        assert abs(top[0] - expected[0]) <= 1e-13 * expected[0]
+        assert [singular.shape for singular in calls] == [(1, 2)]
+        assert top[1] == calls[0][0, 0] ** 2
+        assert (np.abs(top - expected) <= 1e-13 * expected).all()
 
 
 class TestSweep:
