@@ -38,11 +38,12 @@ SUPPORT_HALF_WIDTH = 5.0
 # design evaluation then holds the two (n/2) x (n/2) parity blocks of the
 # value matrix and the SVD's copy of one, 3 * 8 * 2048^2 B = 101 MB, so a
 # process evaluating it stays under 160 MB; a sweep builds the even block
-# alone, one cell per stack at this size.  The largest lattice the step rule
-# admits is n = 4020, at (12, 200): there `efficiency` peaks at 126 MB RSS
-# and takes 7.0 s, a one-cell `sweep` 62 MB and 0.3 s (one BLAS thread).
-# The gated acceptance rectangle needs at most 192 points; t_hat = 1e4 at
-# gamma_hat = 0.01 would ask for 16160.
+# alone, one cell per stack at this size.  The step rule admits the cap
+# itself, at (256, 0.04): there `efficiency` peaks at 130 MB RSS and takes
+# 9.4 s, a one-cell `sweep` 63 MB and 0.3 s; at (12, 200), n = 4020,
+# `efficiency` peaks at 126 MB and takes 7.0 s (one BLAS thread, 2-CPU
+# host).  The gated acceptance rectangle needs at most 192 points; t_hat =
+# 1e4 at gamma_hat = 0.01 would ask for 16160.
 MAX_LATTICE_POINTS = 4096
 
 # Byte budget of one stack of (n/2) x (n/2) even blocks in a sweep batch.
@@ -164,7 +165,7 @@ def _lattice(point: DesignPoint) -> TimeGrid:
     return _midpoint_grid(min(0.5 * point.t_hat, local), step)
 
 
-def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGrid, int, np.ndarray, np.ndarray]:
+def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
     """Schmidt weights of points that share a lattice, from the parity blocks of the value matrix.
 
     The points must differ in ``gamma_hat`` only and share one lattice.
@@ -190,56 +191,42 @@ def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGr
     report the same lambda_1 bit for bit; with ``odd=False`` nothing is
     decomposed.
 
-    Outer signal columns whose pump weight Omega_q^2 totals less than
-    eps^2 / 8 of sum_{q<n/2} Omega_q^2 are dropped first.  Column q of K+
-    and K- together carries 2 Omega_q^2 S(q), S(q) = sum_{i<n} w(i - q)^2,
-    which grows from the edge q = 0 to the centre, where it stays below
-    twice S(0), which sums one whole side of w^2; so the dropped columns
-    carry less than eps^2 / 4 of ||K+||_F^2 + ||K-||_F^2, and by Weyl's
-    inequality no singular value moves by more than the SVD's backward
-    error.  The kept columns depend on the pump train and the lattice
-    alone, so each point of a stack keeps the columns it keeps on its own.
-
-    Returns the grid, the first kept column, the blocks ``(2, k, n/2, m)``
-    (even first; one block with ``odd=False``) and the weights ``(k, n)``:
+    Returns the grid, the blocks ``(2, k, n/2, n/2)`` (even first; one
+    block with ``odd=False``) and the weights ``(k, n)``:
     lambda_1 first, then the other squared singular values in descending
-    order (none with ``odd=False``), scaled by the cell area and
-    zero-padded.  Raises :class:`ParameterError` when any amplitude
-    vanishes.
+    order (zeros with ``odd=False``), scaled by the cell area.  Raises
+    :class:`ParameterError` when any amplitude vanishes.
     """
     grid = _lattice(points[0])
     n, half, step = grid.n_points, grid.n_points // 2, grid.step
     gammas = np.array([p.gamma_hat for p in points])
     train = PulseTrainSpec(sigma_p=1.0, period=points[0].t_hat, n_side_pulses=points[0].n_side_pulses)
     omega = train_amplitude(train, grid.points[:half])
-    pump = omega**2
-    lo = int(np.searchsorted(np.cumsum(pump), 0.125 * np.finfo(float).eps ** 2 * pump.sum()))
-    size = half - lo
 
-    # w[:, n - 1 + r] = w(r) for |r| < n; windows[:, s, b] = w[:, s + b] at column q = lo + b.  w is
-    # even, so w(i - q) = w(q - i) sits in window n - 1 + lo - i, and w(i + q - (n - 1)) in window lo + i.
+    # w[:, n - 1 + r] = w(r) for |r| < n; windows[:, s, q] = w[:, s + q].  w is even, so
+    # w(i - q) = w(q - i) sits in window n - 1 - i, and w(i + q - (n - 1)) in window i.
     w = np.exp(-np.square(np.multiply.outer(gammas, np.arange(1 - n, n) * step)))
-    windows = sliding_window_view(w, size, axis=-1)
-    direct, mirror = windows[:, n - 1 + lo : lo + half - 1 : -1], windows[:, lo : lo + half]
-    blocks = np.empty((2 if odd else 1, len(points), half, size))
+    windows = sliding_window_view(w, half, axis=-1)
+    direct, mirror = windows[:, n - 1 : half - 1 : -1], windows[:, :half]
+    blocks = np.empty((2 if odd else 1, len(points), half, half))
     np.add(direct, mirror, out=blocks[0])
     if odd:
         np.subtract(direct, mirror, out=blocks[1])
-    blocks *= omega[lo:]
-    start = _signal_fundamental(gammas[:, None], grid.points[lo:half])
+    blocks *= omega
+    start = _signal_fundamental(gammas[:, None], grid.points[:half])
     weights = np.zeros((len(points), n))
     try:
         weights[:, 0] = _top_eigenvalue(blocks[0], start)
         if odd:
             even, odd_spectrum = np.square(np.linalg.svd(blocks, compute_uv=False))
             # lambda_1 is the even block's top, which the routine's value replaces.
-            weights[:, 1 : 2 * size] = np.sort(np.hstack([even[:, 1:], odd_spectrum]), axis=1)[:, ::-1]
+            weights[:, 1:] = np.sort(np.hstack([even[:, 1:], odd_spectrum]), axis=1)[:, ::-1]
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
     weights *= step * step
     if (weights[:, 0] <= 0).any():
         raise ParameterError("joint amplitude vanished at this design point")
-    return grid, lo, blocks, weights
+    return grid, blocks, weights
 
 
 def _signal_fundamental(gamma_hat, t: np.ndarray) -> np.ndarray:
@@ -319,7 +306,7 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     if kernel not in ("gated", "ungated"):
         raise ParameterError(f"unknown kernel {kernel!r}")
 
-    grid, lo, blocks, weights = _parity_spectra([point])
+    grid, blocks, weights = _parity_spectra([point])
     weights = weights[0]
     total = float(weights.sum())
     lambda_sq = weights / total
@@ -330,7 +317,7 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
         numerator = float(weights[0])
     else:
         # <K| rho |K> = 2 ||K+ K_u||^2 for the even single-pulse signal fundamental.
-        mode = _signal_fundamental(point.gamma_hat, grid.points[lo : grid.n_points // 2])
+        mode = _signal_fundamental(point.gamma_hat, grid.points[: grid.n_points // 2])
         projected = blocks[0, 0] @ mode
         numerator = float(2.0 * (projected @ projected) * grid.step**3)
 
@@ -472,7 +459,7 @@ def sweep_design_space(
 
     def run(points: list[DesignPoint]) -> list[tuple[float, str | None]]:
         try:
-            _, _, _, weights = _parity_spectra(points, odd=False)
+            _, _, weights = _parity_spectra(points, odd=False)
         except BiphotonError as exc:
             if len(points) == 1:
                 return [(math.nan, str(exc))]

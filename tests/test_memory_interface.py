@@ -93,10 +93,10 @@ def ungated_kernel_eta_by_svd(point, step=None):
 def svd_report(point, kernel="gated", step=None):
     """eta_in, purity, gating loss and lambda^2 head from the whole assembled block.
 
-    Without the library's parity fold and node trim: the squared singular
-    values of the assembled block J, taken as the eigenvalues of J^T J by
-    ``eigvalsh``, scaled by the cell area, against the lattice-sum reference
-    norm.  On the library's lattice by default; ``step`` picks another.
+    Without the library's parity fold: the squared singular values of the
+    assembled block J, taken as the eigenvalues of J^T J by ``eigvalsh``,
+    scaled by the cell area, against the lattice-sum reference norm.  On
+    the library's lattice by default; ``step`` picks another.
     """
     step = lattice_step(point) if step is None else step
     values = assembled_jta(point, step).values
@@ -273,19 +273,14 @@ class TestReadInEfficiency:
     def test_eigen_route_matches_svd_oracle(self, t_hat, gamma_hat, side_pulses, kernel):
         assert_matches_svd_oracle(DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses), kernel)
 
-    def test_trimmed_gated_block_matches_svd_oracle(self):
+    def test_wide_gate_block_matches_svd_oracle(self):
         # A gate much wider than the pump pulse at a narrow filter: the lattice
         # spans the gate, while the signal axis holds only the central pump
-        # pulse, so the parity blocks keep every idler row of the upper half
-        # but fewer signal columns.
+        # pulse, and the parity blocks keep every row and column of the upper
+        # half.
         point = DesignPoint(t_hat=40.0, gamma_hat=0.1)
-        grid, lo, blocks, _ = mi._parity_spectra([point])
-        assert grid.n_points // 2 == 320
-        assert blocks.shape == (2, 1, 320, 96) and lo == 320 - 96
-        # The trim reads the pump alone; the dropped columns at both ends carry
-        # under eps^2 / 4 of the trace of rho = J^T J on the full lattice.
-        mass = np.square(assembled_jta(point).values).sum(axis=0)
-        assert mass[:lo].sum() + mass[-lo:].sum() <= 0.25 * np.finfo(float).eps ** 2 * mass.sum()
+        _, blocks, _ = mi._parity_spectra([point])
+        assert blocks.shape == (2, 1, 320, 320)
         assert_matches_svd_oracle(point, "gated")
 
     def test_small_weights_match_svd_of_assembled_amplitude(self):
@@ -410,16 +405,16 @@ class TestParityFold:
     @DESIGN_DRAWS
     def test_blocks_match_folded_gram_of_assembled_amplitude(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        _, lo, blocks, _ = mi._parity_spectra([point])
+        _, blocks, _ = mi._parity_spectra([point])
         plus, minus = folded_value_oracle(point)
         scale = np.abs(plus).max()
-        assert np.abs(blocks[0, 0] - plus[:, lo:]).max() <= 1e-13 * scale
-        assert np.abs(blocks[1, 0] - minus[:, lo:]).max() <= 1e-13 * scale
+        assert np.abs(blocks[0, 0] - plus).max() <= 1e-13 * scale
+        assert np.abs(blocks[1, 0] - minus).max() <= 1e-13 * scale
         # K+-^T K+- are the parity blocks of the signal Gram matrix J^T J.
         even, odd = folded_gram_oracle(point)
         scale = np.abs(even).max()
-        assert np.abs(blocks[0, 0].T @ blocks[0, 0] - even[lo:, lo:]).max() <= 1e-13 * scale
-        assert np.abs(blocks[1, 0].T @ blocks[1, 0] - odd[lo:, lo:]).max() <= 1e-13 * scale
+        assert np.abs(blocks[0, 0].T @ blocks[0, 0] - even).max() <= 1e-13 * scale
+        assert np.abs(blocks[1, 0].T @ blocks[1, 0] - odd).max() <= 1e-13 * scale
         # Perron-Frobenius: the top weight lies in the even block, the only
         # one a sweep decomposes.  Where the parities are degenerate the
         # two tops agree to within eigvalsh's backward error, m eps ||G+||_2
@@ -440,7 +435,7 @@ class TestParityFold:
     @DESIGN_DRAWS
     def test_power_iteration_matches_eigvalsh(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        grid, _, blocks, weights = mi._parity_spectra([point], odd=False)
+        grid, blocks, weights = mi._parity_spectra([point], odd=False)
         even = blocks[0]
         expected = np.linalg.eigvalsh(even.transpose(0, 2, 1) @ even)[:, -1]
         # The library's Hermite-Gauss start vector, and a flat one.
@@ -482,7 +477,7 @@ class TestTopEigenvalue:
         # The 64 cells of the acceptance row at t_hat = 12 share the
         # 192-node lattice and stop after different numbers of steps.
         points = [DesignPoint(12.0, float(g)) for g in np.linspace(0.1, 2.0, 64)]
-        _, _, blocks, _ = mi._parity_spectra(points, odd=False)
+        _, blocks, _ = mi._parity_spectra(points, odd=False)
         start = np.random.default_rng(5).uniform(0.5, 1.0, (len(points), blocks.shape[3]))
         stacked = mi._top_eigenvalue(blocks[0], start)
         for cell in range(len(points)):
