@@ -97,7 +97,7 @@ def _tool_errors(func):
         except BiphotonError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
-        except (MemoryError, OverflowError, ValueError, np.linalg.LinAlgError) as exc:
+        except (MemoryError, ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
             detail = " ".join(str(exc).split()) or "no detail"
             click.echo(f"error: {type(exc).__name__}: {detail}", err=True)
             sys.exit(4)
@@ -252,9 +252,11 @@ def analyze(cfg: dict) -> dict:
         if not values:
             return None, None
         if all(m.err > 0 for m in values):
-            weights = [1.0 / m.err**2 for m in values]
+            # 1 / err^2 relative to the smallest error's, so no weight overflows.
+            smallest = min(m.err for m in values)
+            weights = [(smallest / m.err) ** 2 for m in values]
             mean = sum(w * m.value for w, m in zip(weights, values)) / sum(weights)
-            return mean, math.sqrt(1.0 / sum(weights))
+            return mean, smallest / math.sqrt(sum(weights))
         mean = sum(m.value for m in values) / len(values)
         return mean, math.sqrt(sum(m.err**2 for m in values)) / len(values)
 

@@ -27,7 +27,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BiphotonError, DecompositionError, GridMismatchError, ParameterError
 from .formatting import write_csv
-from .signal_model import RESOLUTION_POINTS_PER_SIGMA, PulseTrainSpec, TimeGrid, train_amplitude
+from .signal_model import PulseTrainSpec, train_amplitude
+
+# Lattice points per sigma_p that resolve a pump pulse; a narrow filter refines them (see `_lattice`).
+RESOLUTION_POINTS_PER_SIGMA = 16
 
 # Half-width, in units of the relevant scale, beyond which Gaussian
 # envelopes are treated as having no support (exp(-25) ~ 1e-11 in
@@ -108,34 +111,8 @@ class DesignReport:
     norm_reference: float
 
 
-def _midpoint_grid(half_width: float, step: float) -> TimeGrid:
-    """Symmetric lattice with nodes at +/-(j + 1/2) step, at least one per side.
-
-    When T/2 is a multiple of the step, midpoint placement puts the gate
-    edges exactly between nodes and gated quadratures converge at second
-    order.  Otherwise the outer cell keeps its full weight and the error
-    is O(step), not falling under refinement: at t_hat = 2.3226, gamma_hat
-    = 0.4317 eta_in is off the exact value by +1.68e-2 / -3.2e-3 / -3.2e-3
-    / +1.8e-3 at 16 / 32 / 64 / 128 points per sigma (ROADMAP item 2,
-    exact design evaluation).  The node count is even, so the lattice
-    folds into two mirrored halves (see `_parity_spectra`).  A count
-    above ``MAX_LATTICE_POINTS``, an infinite one included, raises
-    :class:`ParameterError` before the grid is built.
-    """
-    count = max(1.0, float(np.ceil(half_width / step - 0.5)))
-    n_points = 2 * count
-    if not n_points <= MAX_LATTICE_POINTS:
-        gigabytes = 8 * n_points * n_points / 1e9
-        raise ParameterError(
-            f"lattice of {n_points:.12g} x {n_points:.12g} points ({gigabytes:.3g} GB for "
-            f"its value matrix) exceeds the cap of {MAX_LATTICE_POINTS} points per axis"
-        )
-    edge = (count - 0.5) * step
-    return TimeGrid(int(n_points), -edge, edge)
-
-
-def _lattice(point: DesignPoint) -> TimeGrid:
-    """Shared idler/signal lattice of a design point, bounded before allocation.
+def _lattice(point: DesignPoint) -> tuple[int, float]:
+    """Nodes per side and step of a design point's idler/signal lattice, bounded before allocation.
 
     The step is h = 1 / (16 ceil(gamma_hat / 8)): the coarsest multiple
     of ``RESOLUTION_POINTS_PER_SIGMA`` points per sigma_p with gamma_hat
@@ -144,15 +121,25 @@ def _lattice(point: DesignPoint) -> TimeGrid:
     four times that density for gamma_hat in {8.5, 12, 16, 24, 40}.
 
     The lattice is the gate: outside min(T/2, local support) the gated
-    amplitude is zero or below double precision, so the lattice spans
-    that block and nothing else.  Its outermost node lies at (count -
-    1/2) h <= T/2, with equality only at T = h, so every node is inside
-    the closed gate and no gate mask is needed.  A gate narrower than
-    one step holds no node and is refused.
+    amplitude is zero or below double precision, so the nodes +/-(j +
+    1/2) h, j < half, at least one per side, span that block and nothing
+    else, and fold into two mirrored halves (see `_parity_spectra`).  The
+    outermost node lies at (half - 1/2) h <= T/2, with equality only at T
+    = h, so every node is inside the closed gate and no gate mask is
+    needed; a gate narrower than one step holds no node and is refused.
+    When T/2 is a multiple of h the gate edges fall between nodes and
+    gated quadratures converge at second order; otherwise the outer cell
+    keeps its full weight and the error is O(h), not falling under
+    refinement: at t_hat = 2.3226, gamma_hat = 0.4317 eta_in is off the
+    exact value by +1.68e-2 / -3.2e-3 / -3.2e-3 / +1.8e-3 at 16 / 32 / 64
+    / 128 points per sigma (ROADMAP item 2, exact design evaluation).
 
-    Raises :class:`ParameterError` when t_hat < h, and, from
-    `_midpoint_grid`, when the lattice exceeds ``MAX_LATTICE_POINTS``.
+    Raises :class:`ParameterError` when pi / (2 gamma_hat) is not finite,
+    before any lattice arithmetic, when t_hat < h, and when the node
+    count, an infinite one included, exceeds ``MAX_LATTICE_POINTS``.
     """
+    if not math.isfinite(_single_pulse_norm(point.gamma_hat)):
+        raise ParameterError(f"gamma_hat = {point.gamma_hat:g} is too small: the norm pi / (2 gamma_hat) overflows")
     # In Python floats the step stays positive up to the largest gamma_hat,
     # whose lattice then exceeds the cap; the density itself would overflow.
     refinement = float(np.ceil(point.gamma_hat / (0.5 * RESOLUTION_POINTS_PER_SIGMA)))
@@ -162,10 +149,18 @@ def _lattice(point: DesignPoint) -> TimeGrid:
             f"t_hat = {point.t_hat:g} is below the lattice step {step:g}: the gate holds no node"
         )
     local = SUPPORT_HALF_WIDTH * (1.0 + 1.0 / point.gamma_hat)
-    return _midpoint_grid(min(0.5 * point.t_hat, local), step)
+    half = max(1.0, float(np.ceil(min(0.5 * point.t_hat, local) / step - 0.5)))
+    n_points = 2 * half
+    if not n_points <= MAX_LATTICE_POINTS:
+        gigabytes = 8 * n_points * n_points / 1e9
+        raise ParameterError(
+            f"lattice of {n_points:.12g} x {n_points:.12g} points ({gigabytes:.3g} GB for "
+            f"its value matrix) exceeds the cap of {MAX_LATTICE_POINTS} points per axis"
+        )
+    return int(half), step
 
 
-def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
+def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Schmidt weights of points that share a lattice, from the parity blocks of the value matrix.
 
     The points must differ in ``gamma_hat`` only and share one lattice.
@@ -191,17 +186,18 @@ def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGr
     report the same lambda_1 bit for bit; with ``odd=False`` nothing is
     decomposed.
 
-    Returns the grid, the blocks ``(2, k, n/2, n/2)`` (even first; one
-    block with ``odd=False``) and the weights ``(k, n)``:
+    Returns the nodes t_p for p < n/2, h, the blocks ``(2, k, n/2, n/2)``
+    (even first; one block with ``odd=False``) and the weights ``(k, n)``:
     lambda_1 first, then the other squared singular values in descending
     order (zeros with ``odd=False``), scaled by the cell area.  Raises
     :class:`ParameterError` when any amplitude vanishes.
     """
-    grid = _lattice(points[0])
-    n, half, step = grid.n_points, grid.n_points // 2, grid.step
+    half, step = _lattice(points[0])
+    n = 2 * half
+    t = (np.arange(half) + 0.5 - half) * step
     gammas = np.array([p.gamma_hat for p in points])
     train = PulseTrainSpec(sigma_p=1.0, period=points[0].t_hat, n_side_pulses=points[0].n_side_pulses)
-    omega = train_amplitude(train, grid.points[:half])
+    omega = train_amplitude(train, t)
 
     # w[:, n - 1 + r] = w(r) for |r| < n; windows[:, s, q] = w[:, s + q].  w is even, so
     # w(i - q) = w(q - i) sits in window n - 1 - i, and w(i + q - (n - 1)) in window i.
@@ -213,7 +209,7 @@ def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGr
     if odd:
         np.subtract(direct, mirror, out=blocks[1])
     blocks *= omega
-    start = _signal_fundamental(gammas[:, None], grid.points[:half])
+    start = _signal_fundamental(gammas[:, None], t)
     weights = np.zeros((len(points), n))
     try:
         weights[:, 0] = _top_eigenvalue(blocks[0], start)
@@ -226,7 +222,7 @@ def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[TimeGr
     weights *= step * step
     if (weights[:, 0] <= 0).any():
         raise ParameterError("joint amplitude vanished at this design point")
-    return grid, blocks, weights
+    return t, step, blocks, weights
 
 
 def _signal_fundamental(gamma_hat, t: np.ndarray) -> np.ndarray:
@@ -236,7 +232,10 @@ def _signal_fundamental(gamma_hat, t: np.ndarray) -> np.ndarray:
     Hermite-Gaussian of the Mehler kernel (Law, Walmsley & Eberly, PRL 84,
     5304 (2000)), even and positive.  ``gamma_hat`` is a float or a column.
     """
-    alpha = np.sqrt(1.0 + np.square(gamma_hat))
+    with np.errstate(over="ignore"):
+        square = np.square(gamma_hat)
+    # Where gamma_hat^2 overflows, sqrt(1 + gamma_hat^2) is gamma_hat in float64.
+    alpha = np.where(np.isinf(square), gamma_hat, np.sqrt(1.0 + square))
     return (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * np.square(t))
 
 
@@ -306,7 +305,7 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     if kernel not in ("gated", "ungated"):
         raise ParameterError(f"unknown kernel {kernel!r}")
 
-    grid, blocks, weights = _parity_spectra([point])
+    t, step, blocks, weights = _parity_spectra([point])
     weights = weights[0]
     total = float(weights.sum())
     lambda_sq = weights / total
@@ -317,9 +316,8 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
         numerator = float(weights[0])
     else:
         # <K| rho |K> = 2 ||K+ K_u||^2 for the even single-pulse signal fundamental.
-        mode = _signal_fundamental(point.gamma_hat, grid.points[: grid.n_points // 2])
-        projected = blocks[0, 0] @ mode
-        numerator = float(2.0 * (projected @ projected) * grid.step**3)
+        projected = blocks[0, 0] @ _signal_fundamental(point.gamma_hat, t)
+        numerator = float(2.0 * (projected @ projected) * step**3)
 
     return DesignReport(
         eta_in=numerator / reference,
@@ -445,21 +443,21 @@ def sweep_design_space(
     jobs: list[tuple[int, list[int], list[DesignPoint]]] = []
     for row, t_hat in enumerate(t_values):
         points = [DesignPoint(float(t_hat), float(gamma), n_side_pulses) for gamma in gamma_values]
-        groups: dict[TimeGrid, list[int]] = {}
+        groups: dict[tuple[int, float], list[int]] = {}
         for col, point in enumerate(points):
             try:
                 groups.setdefault(_lattice(point), []).append(col)
             except ParameterError as exc:
                 errors[row, col] = str(exc)
-        for grid, cols in groups.items():
-            per_stack = max(1, BATCH_BYTES // (2 * grid.n_points**2))
+        for (half, _), cols in groups.items():
+            per_stack = max(1, BATCH_BYTES // (8 * half**2))
             for start in range(0, len(cols), per_stack):
                 stack = cols[start : start + per_stack]
                 jobs.append((row, stack, [points[col] for col in stack]))
 
     def run(points: list[DesignPoint]) -> list[tuple[float, str | None]]:
         try:
-            _, _, weights = _parity_spectra(points, odd=False)
+            weights = _parity_spectra(points, odd=False)[-1]
         except BiphotonError as exc:
             if len(points) == 1:
                 return [(math.nan, str(exc))]

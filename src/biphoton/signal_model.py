@@ -25,10 +25,6 @@ from .errors import CoverageWarning, ParameterError
 SQRT_2LN2 = math.sqrt(2.0 * math.log(2.0))
 SQRT_LN2 = math.sqrt(math.log(2.0))
 
-# A uniform grid resolves a pump pulse when it places at least this many
-# samples per sigma_p.
-RESOLUTION_POINTS_PER_SIGMA = 16
-
 # A pulse centred more than this many sigma_p from a time adds
 # exp(-28^2) there, which underflows to exactly 0.0.
 PULSE_REACH = 28.0

@@ -192,6 +192,14 @@ class TestEfficiencyCommand:
             lines = result.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: lattice of ") and "exceeds the cap" in lines[0]
 
+    def test_subnormal_filter_is_numerical_error(self, runner):
+        # pi / (2 gamma_hat) overflows, so the lattice is refused before its step is formed.
+        result = runner.invoke(main, ["efficiency", "--t-hat", "5", "--gamma-hat", "5e-324"])
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: gamma_hat = ") and "overflows" in lines[0]
+
     @pytest.mark.parametrize(
         "error",
         [
@@ -262,6 +270,23 @@ class TestSweepCommand:
         )
         assert payload["gamma_opt"] == [0.9]
         assert 0.0 < payload["eta_opt"][0] <= 1.0
+
+    def test_subnormal_filter_cells_are_failures(self, runner):
+        # The lattice of every cell at gamma_hat = 5e-324 is refused; the others are evaluated.
+        result = runner.invoke(
+            main,
+            [
+                "sweep",
+                "--t-min", "2", "--t-max", "3", "--t-steps", "2",
+                "--gamma-min", "5e-324", "--gamma-max", "1", "--gamma-steps", "3",
+            ],
+        )
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        payload = json.loads(result.stdout)
+        assert [(f["t_hat"], f["gamma_hat"]) for f in payload["failures"]] == [(2.0, 5e-324), (3.0, 5e-324)]
+        assert all(f["error"].startswith("gamma_hat = ") for f in payload["failures"])
+        assert all(0.0 < eta <= 1.0 for eta in payload["eta_opt"])
 
     def test_csv_reproducible_byte_for_byte(self, runner, tmp_path):
         first = tmp_path / "a.csv"
@@ -467,6 +492,21 @@ class TestAnalyzeCommand:
             assert len(payload["records"]) == len(body) - 1
             assert payload["fits"] == {}
 
+    def test_aggregate_of_tiny_errors_is_finite(self, runner, tmp_path):
+        # At an integration time of 1e308 s every error is about 1e-156, so
+        # 1 / err^2 overflows; the weights are scaled by the smallest error's.
+        counts = tmp_path / "counts.csv"
+        lines = COUNTS_BODY.splitlines()
+        counts.write_text("\n".join([lines[0] + ",integration_time_s"] + [line + ",1e308" for line in lines[1:]]) + "\n")
+        args = self.analyze_args(counts)
+        args[args.index("--transmission-err") + 1] = "0"
+        payload = run_json(runner, args)
+        records, aggregate = payload["records"], payload["aggregate"]
+        assert all(0 < row["eta_her_err"] < 1e-150 and 0 < row["g2_err"] < 1e-150 for row in records)
+        assert aggregate["eta_her"] == pytest.approx(0.25, abs=1e-9)
+        assert 0 < aggregate["eta_her_err"] <= min(row["eta_her_err"] for row in records)
+        assert min(row["g2"] for row in records) < aggregate["g2"] < max(row["g2"] for row in records)
+
     def test_headers_only_is_numerical_error(self, runner, tmp_path):
         counts = tmp_path / "counts.csv"
         counts.write_text(COUNTS_HEADER + "\n")
@@ -503,6 +543,18 @@ class TestFitSpectrumCommand:
             ["fit-spectrum", "--sweep-csv", str(sweep_path), "--filter-fwhm-ghz", "1.1"],
         )
         assert result.exit_code == 4
+
+    def test_subnormal_filter_is_numerical_error(self, runner, tmp_path):
+        # The resolution floor underflows to zero and is divided by.
+        sweep_path = tmp_path / "sweep.csv"
+        self.write_sweep(sweep_path, n=5)
+        result = runner.invoke(
+            main,
+            ["fit-spectrum", "--sweep-csv", str(sweep_path), "--filter-fwhm-ghz", "5e-324"],
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: ZeroDivisionError: float division by zero"]
 
 
 def test_help_screens(runner):

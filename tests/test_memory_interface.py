@@ -164,17 +164,20 @@ class TestDesignPoint:
 
 class TestMidpointLattice:
     def test_nodes_straddle_gate_edges(self):
-        grid = mi._midpoint_grid(1.0, 1.0 / 16.0)
-        t = grid.points
-        assert t.size == 32
+        point = DesignPoint(t_hat=2.0, gamma_hat=0.9)
+        assert mi._lattice(point) == (16, 1.0 / 16.0)
+        t, step, _, _ = mi._parity_spectra([point])
+        assert step == 1.0 / 16.0
+        # The nodes of the lower half; the upper half is their mirror image.
+        assert t.size == 16
         assert np.allclose(np.diff(t), 1.0 / 16.0)
-        # Largest node sits half a step inside the half-width.
-        assert t[-1] == pytest.approx(1.0 - 0.5 / 16.0, abs=1e-12)
-        assert np.allclose(t, -t[::-1], atol=1e-12)
+        # Outermost node sits half a step inside the half-width, innermost half a step from zero.
+        assert t[0] == pytest.approx(-(1.0 - 0.5 / 16.0), abs=1e-12)
+        assert t[-1] == pytest.approx(-0.5 / 16.0, abs=1e-12)
 
     def test_narrow_gate_keeps_two_nodes_per_side(self):
         # A gate narrower than three steps holds one node per side.
-        assert mi._midpoint_grid(0.05, 1.0 / 16.0).n_points == 2
+        assert mi._lattice(DesignPoint(t_hat=0.1, gamma_hat=0.9)) == (1, 1.0 / 16.0)
         eta = read_in_efficiency(DesignPoint(t_hat=0.1, gamma_hat=0.9))
         assert eta == pytest.approx(0.4034206208633296, rel=1e-12)
 
@@ -279,7 +282,7 @@ class TestReadInEfficiency:
         # pulse, and the parity blocks keep every row and column of the upper
         # half.
         point = DesignPoint(t_hat=40.0, gamma_hat=0.1)
-        _, blocks, _ = mi._parity_spectra([point])
+        _, _, blocks, _ = mi._parity_spectra([point])
         assert blocks.shape == (2, 1, 320, 320)
         assert_matches_svd_oracle(point, "gated")
 
@@ -319,8 +322,22 @@ class TestReadInEfficiency:
             with pytest.raises(ParameterError, match="exceeds the cap"):
                 evaluate_design(DesignPoint(t_hat=4.0, gamma_hat=gamma_hat))
         assert time.perf_counter() - start < 1.0
-        largest_gated = mi._lattice(DesignPoint(t_hat=12.0, gamma_hat=0.1)).n_points
-        assert largest_gated == 192 <= mi.MAX_LATTICE_POINTS // 16
+        half, _ = mi._lattice(DesignPoint(t_hat=12.0, gamma_hat=0.1))
+        assert 2 * half == 192 <= mi.MAX_LATTICE_POINTS // 16
+
+    def test_subnormal_filter_refused(self):
+        # pi / (2 gamma_hat) overflows below gamma_hat ~ 8.7e-309: the
+        # refinement ceil(gamma_hat / 8) would underflow to zero.
+        for gamma_hat in (5e-324, 8e-309):
+            with pytest.raises(ParameterError, match="gamma_hat = .* the norm pi"):
+                evaluate_design(DesignPoint(t_hat=5.0, gamma_hat=gamma_hat))
+
+    def test_filter_whose_square_overflows_warns_nothing(self):
+        # gamma_hat^2 overflows, so the start vector's exponent is gamma_hat
+        # itself; a RuntimeWarning is an error in this suite.  The cell area
+        # h^2 underflows, so the amplitude vanishes.
+        with pytest.raises(ParameterError, match="vanished"):
+            evaluate_design(DesignPoint(t_hat=1e-300, gamma_hat=1e300))
 
     def test_filter_beyond_base_density_refines_lattice(self):
         # The filter response exp(-(gamma_hat t)^2) decays on a scale of
@@ -328,7 +345,7 @@ class TestReadInEfficiency:
         # gamma_hat = 8, finer beyond.  eta_in agrees with an SVD at half that step.
         for gamma_hat in (8.0, 8.5, 12.0, 16.0, 24.0):
             point = DesignPoint(4.0, gamma_hat)
-            assert mi._lattice(point).step == pytest.approx(lattice_step(point), rel=1e-12)
+            assert mi._lattice(point)[1] == pytest.approx(lattice_step(point), rel=1e-12)
             fine = svd_report(point, step=0.5 * lattice_step(point))["eta_in"]
             assert abs(read_in_efficiency(point) - fine) <= 1e-12
 
@@ -405,7 +422,7 @@ class TestParityFold:
     @DESIGN_DRAWS
     def test_blocks_match_folded_gram_of_assembled_amplitude(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        _, blocks, _ = mi._parity_spectra([point])
+        _, _, blocks, _ = mi._parity_spectra([point])
         plus, minus = folded_value_oracle(point)
         scale = np.abs(plus).max()
         assert np.abs(blocks[0, 0] - plus).max() <= 1e-13 * scale
@@ -435,11 +452,11 @@ class TestParityFold:
     @DESIGN_DRAWS
     def test_power_iteration_matches_eigvalsh(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        grid, blocks, weights = mi._parity_spectra([point], odd=False)
+        _, step, blocks, weights = mi._parity_spectra([point], odd=False)
         even = blocks[0]
         expected = np.linalg.eigvalsh(even.transpose(0, 2, 1) @ even)[:, -1]
         # The library's Hermite-Gauss start vector, and a flat one.
-        assert abs(weights[0, 0] / grid.step**2 - expected[0]) <= 1e-13 * expected[0]
+        assert abs(weights[0, 0] / step**2 - expected[0]) <= 1e-13 * expected[0]
         flat = mi._top_eigenvalue(even, np.ones(even.shape[2:3])[None])
         assert abs(flat[0] - expected[0]) <= 1e-13 * expected[0]
 
@@ -477,7 +494,7 @@ class TestTopEigenvalue:
         # The 64 cells of the acceptance row at t_hat = 12 share the
         # 192-node lattice and stop after different numbers of steps.
         points = [DesignPoint(12.0, float(g)) for g in np.linspace(0.1, 2.0, 64)]
-        _, blocks, _ = mi._parity_spectra(points, odd=False)
+        _, _, blocks, _ = mi._parity_spectra(points, odd=False)
         start = np.random.default_rng(5).uniform(0.5, 1.0, (len(points), blocks.shape[3]))
         stacked = mi._top_eigenvalue(blocks[0], start)
         for cell in range(len(points)):
@@ -565,7 +582,7 @@ class TestSweep:
         # At t_hat = 24 the cells at gamma_hat = 0.82 and 9 both have 356
         # nodes, at steps 1/16 and 1/32: one count, two lattices.
         shared = [mi._lattice(DesignPoint(24.0, g)) for g in (0.82, 9.0)]
-        assert {grid.n_points for grid in shared} == {356} and shared[0] != shared[1]
+        assert {2 * half for half, _ in shared} == {356} and shared[0] != shared[1]
         for emap in (mixed, sweep_design_space((24.0, 24.0), (0.82, 9.0), (1, 2))):
             assert emap.failures == ()
             for row, t_hat in enumerate(emap.t_values):
