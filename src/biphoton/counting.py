@@ -300,10 +300,14 @@ def fit_hsp_bandwidth(
         raise ParameterError("need at least 5 sweep points for a bandwidth fit")
     detunings = np.array([p.detuning_ghz for p in points], dtype=float)
     rates = np.array([p.normalized_rate for p in points], dtype=float)
-    span = float(detunings.max() - detunings.min())
+    # Python floats: a span past the float maximum is inf, with no numpy warning.
+    span = float(detunings.max()) - float(detunings.min())
     filter_fwhm = signal_filter.amplitude_fwhm
     if span < filter_fwhm:
         raise ParameterError("sweep must span at least one filter FWHM")
+    # The initial guess and the line model square detuning differences.
+    if not math.isfinite(span * span):
+        raise ParameterError(f"sweep spans {span:g} GHz, whose square overflows a float64")
 
     exponent = 2.0 if transmission == "intensity" else 1.0
     kernel_fwhm = filter_fwhm / math.sqrt(exponent)

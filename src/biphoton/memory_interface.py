@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BiphotonError, DecompositionError, GridMismatchError, ParameterError
 from .formatting import write_csv
+from .schmidt import merge_descending
 from .signal_model import PulseTrainSpec, train_amplitude
 
 # Lattice points per sigma_p that resolve a pump pulse; a narrow filter refines them (see `_lattice`).
@@ -135,8 +137,11 @@ def _lattice(point: DesignPoint) -> tuple[int, float]:
     / 128 points per sigma (ROADMAP item 2, exact design evaluation).
 
     Raises :class:`ParameterError` when pi / (2 gamma_hat) is not finite,
-    before any lattice arithmetic, when t_hat < h, and when the node
-    count, an infinite one included, exceeds ``MAX_LATTICE_POINTS``.
+    before any lattice arithmetic, when t_hat < h, when the node count,
+    an infinite one included, exceeds ``MAX_LATTICE_POINTS``, and when the
+    cell area h^2, which scales every Schmidt weight, is not a normal
+    float64 (gamma_hat above about 3.4e153): a subnormal h^2 loses digits
+    and a zero one makes every weight vanish.
     """
     if not math.isfinite(_single_pulse_norm(point.gamma_hat)):
         raise ParameterError(f"gamma_hat = {point.gamma_hat:g} is too small: the norm pi / (2 gamma_hat) overflows")
@@ -156,6 +161,11 @@ def _lattice(point: DesignPoint) -> tuple[int, float]:
         raise ParameterError(
             f"lattice of {n_points:.12g} x {n_points:.12g} points ({gigabytes:.3g} GB for "
             f"its value matrix) exceeds the cap of {MAX_LATTICE_POINTS} points per axis"
+        )
+    if step * step < sys.float_info.min:
+        raise ParameterError(
+            f"gamma_hat = {point.gamma_hat:g} is too large: the lattice cell area h^2 = {step * step:g} "
+            "is below the smallest normal float64"
         )
     return int(half), step
 
@@ -216,7 +226,7 @@ def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[np.nda
         if odd:
             even, odd_spectrum = np.square(np.linalg.svd(blocks, compute_uv=False))
             # lambda_1 is the even block's top, which the routine's value replaces.
-            weights[:, 1:] = np.sort(np.hstack([even[:, 1:], odd_spectrum]), axis=1)[:, ::-1]
+            weights[:, 1:] = merge_descending(even[:, 1:], odd_spectrum)[0]
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
     weights *= step * step
@@ -230,12 +240,10 @@ def _signal_fundamental(gamma_hat, t: np.ndarray) -> np.ndarray:
 
     (2 alpha / pi)^(1/4) exp(-alpha t^2), alpha = sqrt(1 + gamma_hat^2): the
     Hermite-Gaussian of the Mehler kernel (Law, Walmsley & Eberly, PRL 84,
-    5304 (2000)), even and positive.  ``gamma_hat`` is a float or a column.
+    5304 (2000)), even and positive.  ``gamma_hat`` is a float or a column;
+    `_lattice` admits none whose square overflows.
     """
-    with np.errstate(over="ignore"):
-        square = np.square(gamma_hat)
-    # Where gamma_hat^2 overflows, sqrt(1 + gamma_hat^2) is gamma_hat in float64.
-    alpha = np.where(np.isinf(square), gamma_hat, np.sqrt(1.0 + square))
+    alpha = np.sqrt(1.0 + np.square(gamma_hat))
     return (2.0 * alpha / math.pi) ** 0.25 * np.exp(-alpha * np.square(t))
 
 

@@ -21,6 +21,14 @@ from .signal_model import TimeGrid
 
 DEGENERACY_TOLERANCE = 1e-12
 
+# Relative skew ||B - EBE||_F <= FOLD_BUDGET eps ||B||_F (E the reversal, eps
+# the float64 machine epsilon) under which `schmidt_decompose` takes the SVD
+# of B's symmetric part through its parity blocks: B differs from that part
+# by (B - EBE) / 2, so by Weyl's inequality no singular value moves by more
+# than 32 eps ||B||_F, the order of the backward error of the SVD itself on
+# the blocks of a few hundred rows the mode analysis decomposes.
+FOLD_BUDGET = 64
+
 
 @dataclass(frozen=True)
 class SchmidtResult:
@@ -67,6 +75,81 @@ def support(values: np.ndarray) -> tuple[slice, slice]:
     return slices[0], slices[1]
 
 
+def merge_descending(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parity spectra merged in descending order along the last axis.
+
+    Returns the merged values and the order that takes the concatenation
+    (even first) to them.  The sort is stable, so a value of the even block
+    precedes an equal one of the odd block.
+    """
+    joined = np.concatenate([even, odd], axis=-1)
+    order = np.argsort(-joined, axis=-1, kind="stable")
+    return np.take_along_axis(joined, order, axis=-1), order
+
+
+def _lift(half: np.ndarray, size: int, sign: float) -> np.ndarray:
+    """Rows (v; sign Ev) / sqrt(2) of length ``size`` from the parity-block vectors ``half``.
+
+    An even vector of odd length keeps its middle entry v_mid as it is;
+    an odd one has a zero there.
+    """
+    head = size // 2
+    full = np.zeros((half.shape[0], size), dtype=half.dtype)
+    full[:, :head] = half[:, :head] * math.sqrt(0.5)
+    full[:, size - head :] = sign * full[:, head - 1 :: -1]
+    if size % 2 and sign > 0:
+        full[:, head] = half[:, head]
+    return full
+
+
+def _folded_svd(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of the symmetric part (B + EBE) / 2 of an m x n block B through its parity blocks.
+
+    As in `biphoton.memory_interface._parity_spectra`, the upper rows
+    give K+- = top +- top reversed along columns, K+ over ceil(m/2) x
+    ceil(n/2) and K- over floor(m/2) x floor(n/2); on an odd dimension
+    the middle row and column of K+ carry a factor 1/sqrt(2), since the
+    middle node is its own mirror.  Their singular values together are
+    those of the symmetric part (Law, Walmsley & Eberly, PRL 84, 5304
+    (2000)).  Returns the merged spectrum and the leading ``k`` vectors
+    lifted back to the block, u as ``(m, k)`` and vh as ``(k, n)``.
+    """
+    m, n = block.shape
+    low_m, low_n = m // 2, n // 2
+    top = 0.5 * (block[: m - low_m] + block[::-1, ::-1][: m - low_m])
+    mirror = top[:, ::-1]
+    plus = top[:, : n - low_n] + mirror[:, : n - low_n]
+    minus = top[:low_m, :low_n] - mirror[:low_m, :low_n]
+    if m % 2:
+        plus[low_m] *= math.sqrt(0.5)
+    if n % 2:
+        plus[:, low_n] *= math.sqrt(0.5)
+    u_plus, s_plus, vh_plus = np.linalg.svd(plus, full_matrices=False)
+    u_minus, s_minus, vh_minus = np.linalg.svd(minus, full_matrices=False)
+    s, order = merge_descending(s_plus, s_minus)
+    chosen = order[:k]
+    even = chosen < s_plus.size
+    u = np.empty((k, m), dtype=u_plus.dtype)
+    vh = np.empty((k, n), dtype=vh_plus.dtype)
+    u[even] = _lift(u_plus[:, chosen[even]].T, m, 1.0)
+    u[~even] = _lift(u_minus[:, chosen[~even] - s_plus.size].T, m, -1.0)
+    vh[even] = _lift(vh_plus[chosen[even]], n, 1.0)
+    vh[~even] = _lift(vh_minus[chosen[~even] - s_plus.size], n, -1.0)
+    return u.T, s, vh
+
+
+def _is_centrosymmetric(block: np.ndarray) -> bool:
+    """Whether ||B - EBE||_F <= FOLD_BUDGET eps ||B||_F.
+
+    A block of one row or column, whose odd block would be empty, does not fold.
+    """
+    if min(block.shape) < 2:
+        return False
+    skew = block - block[::-1, ::-1]
+    budget = (FOLD_BUDGET * np.finfo(float).eps) ** 2 * np.vdot(block, block).real
+    return bool(np.vdot(skew, skew).real <= budget)
+
+
 def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     """Decompose a joint amplitude into its Schmidt modes.
 
@@ -81,6 +164,9 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     The SVD runs on the `support` block of the values.  The spectrum is
     padded with zeros to ``min(n_i, n_s)`` coefficients; at most
     ``min(k_max, min(block.shape))`` modes are kept, zero outside the block.
+    A block that is centrosymmetric within ``FOLD_BUDGET`` (a symmetric
+    amplitude on a symmetric lattice) is decomposed through its two
+    half-size parity blocks (see `_folded_svd`); any other through one SVD.
     """
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
@@ -95,7 +181,10 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     rows, cols = support(values)
     weighted = values[rows, cols] * math.sqrt(dx_i * dx_s)
     try:
-        u, s, vh = np.linalg.svd(weighted, full_matrices=False)
+        if _is_centrosymmetric(weighted):
+            u, s, vh = _folded_svd(weighted, min(k_max, min(weighted.shape)))
+        else:
+            u, s, vh = np.linalg.svd(weighted, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
 

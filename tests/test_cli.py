@@ -193,12 +193,21 @@ class TestEfficiencyCommand:
             assert len(lines) == 1 and lines[0].startswith("error: lattice of ") and "exceeds the cap" in lines[0]
 
     def test_subnormal_filter_is_numerical_error(self, runner):
-        # pi / (2 gamma_hat) overflows, so the lattice is refused before its step is formed.
-        result = runner.invoke(main, ["efficiency", "--t-hat", "5", "--gamma-hat", "5e-324"])
-        assert result.exit_code == 4
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: gamma_hat = ") and "overflows" in lines[0]
+        # pi / (2 gamma_hat) overflows, so the lattice is refused before its
+        # step is formed; past gamma_hat ~ 3.4e153 the cell area h^2 is
+        # subnormal or zero, so the lattice is refused before any weight is
+        # scaled by it.
+        for t_hat, gamma_hat, cause in [
+            ("5", "5e-324", "overflows"),
+            ("1e-307", "1e308", "h^2 = 0 is below the smallest normal float64"),
+            ("1e-159", "1e160", "h^2 = 2.49997e-321 is below the smallest normal float64"),
+            ("1e-161", "1e162", "h^2 = 0 is below the smallest normal float64"),
+        ]:
+            result = runner.invoke(main, ["efficiency", "--t-hat", t_hat, "--gamma-hat", gamma_hat])
+            assert result.exit_code == 4, gamma_hat
+            assert result.stdout == ""
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: gamma_hat = ") and cause in lines[0]
 
     @pytest.mark.parametrize(
         "error",
@@ -545,16 +554,25 @@ class TestFitSpectrumCommand:
         assert result.exit_code == 4
 
     def test_subnormal_filter_is_numerical_error(self, runner, tmp_path):
-        # The resolution floor underflows to zero and is divided by.
+        # The resolution floor underflows to zero and is divided by; a sweep
+        # whose span squared overflows is refused before its spread is formed.
         sweep_path = tmp_path / "sweep.csv"
         self.write_sweep(sweep_path, n=5)
-        result = runner.invoke(
-            main,
-            ["fit-spectrum", "--sweep-csv", str(sweep_path), "--filter-fwhm-ghz", "5e-324"],
+        huge_path = tmp_path / "huge.csv"
+        huge_path.write_text(
+            "detuning_GHz,normalized_coincidences\n-2e300,0.3\n-1e300,0.7\n0,1\n1e300,0.7\n2e300,0.3\n"
         )
-        assert result.exit_code == 4
-        assert result.stdout == ""
-        assert result.stderr.splitlines() == ["error: ZeroDivisionError: float division by zero"]
+        for path, filter_fwhm, line in [
+            (sweep_path, "5e-324", "error: ZeroDivisionError: float division by zero"),
+            (huge_path, "1.1", "error: sweep spans 4e+300 GHz, whose square overflows a float64"),
+        ]:
+            result = runner.invoke(
+                main,
+                ["fit-spectrum", "--sweep-csv", str(path), "--filter-fwhm-ghz", filter_fwhm],
+            )
+            assert result.exit_code == 4
+            assert result.stdout == ""
+            assert result.stderr.splitlines() == [line]
 
 
 def test_help_screens(runner):

@@ -333,10 +333,9 @@ class TestReadInEfficiency:
                 evaluate_design(DesignPoint(t_hat=5.0, gamma_hat=gamma_hat))
 
     def test_filter_whose_square_overflows_warns_nothing(self):
-        # gamma_hat^2 overflows, so the start vector's exponent is gamma_hat
-        # itself; a RuntimeWarning is an error in this suite.  The cell area
-        # h^2 underflows, so the amplitude vanishes.
-        with pytest.raises(ParameterError, match="vanished"):
+        # A RuntimeWarning is an error in this suite.  The cell area h^2
+        # underflows, so the lattice is refused before any weight is formed.
+        with pytest.raises(ParameterError, match=r"gamma_hat = 1e\+300 .* h\^2 = 0 is below the smallest normal"):
             evaluate_design(DesignPoint(t_hat=1e-300, gamma_hat=1e300))
 
     def test_filter_beyond_base_density_refines_lattice(self):

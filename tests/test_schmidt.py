@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from biphoton.errors import DegenerateModeWarning, ParameterError
 from biphoton.joint_amplitude import JointAmplitude, assemble_gated_jta, to_frequency_domain
-from biphoton.schmidt import fundamental_kernel, schmidt_decompose, support
-from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGrid
+from biphoton.schmidt import FOLD_BUDGET, fundamental_kernel, schmidt_decompose, support
+from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid
 
 
 def closed_form_purity(gamma_hat):
@@ -38,12 +38,33 @@ def padded_single_pulse_jta(sigma_p, gamma_hat, padding, points_per_sigma=8):
     return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
 
 
+def midpoint_grid(half, step):
+    # 2 * half nodes (j + 1/2) step, |j| < half: a lattice symmetric about zero.
+    edge = (half - 0.5) * step
+    return TimeGrid(2 * half, -edge, edge)
+
+
 def full_svd_oracle(jta, k_max):
     # The decomposition of the whole lattice, with no support trim.
     dx_i, dx_s = jta.axis_i.step, jta.axis_s.step
     u, s, vh = np.linalg.svd(jta.values * math.sqrt(dx_i * dx_s), full_matrices=False)
     coeffs = s / math.sqrt(float((s**2).sum()))
     return coeffs, vh[:k_max] / math.sqrt(dx_s), u[:, :k_max].T / math.sqrt(dx_i)
+
+
+def assert_matches_full_svd(jta, result, k_max):
+    # The phase of a mode is free (a sign for real amplitudes), so each
+    # oracle mode is aligned with the result before the comparison.
+    coeffs, signal, idler = full_svd_oracle(jta, k_max)
+    assert abs(float((result.singular_values**2).sum()) - 1.0) <= 1e-12
+    assert result.singular_values.shape == coeffs.shape
+    assert np.abs(result.singular_values - coeffs).max() <= 1e-13
+    assert abs(result.tail_mass - float((coeffs[k_max:] ** 2).sum())) <= 1e-13
+    for k in np.flatnonzero(coeffs[:k_max] ** 2 >= 1e-6):
+        phase = np.vdot(signal[k], result.signal_modes[k])
+        phase /= abs(phase)
+        assert np.abs(result.signal_modes[k] - phase * signal[k]).max() <= 1e-8
+        assert np.abs(result.idler_modes[k] - np.conj(phase) * idler[k]).max() <= 1e-8
 
 
 def hermite_gauss(k, a, t):
@@ -163,9 +184,7 @@ class TestModes:
         # kappa = gamma_hat^2 / alpha (idler), and lambda_k^2 = (1 - mu^2) mu^(2k)
         # with mu^2 = (alpha - 1) / (alpha + 1).  Midpoint lattice, step 1/32.
         step = 1.0 / 32.0
-        count = math.ceil(5.0 * (1.0 + 1.0 / gamma_hat) / step - 0.5)
-        edge = (count - 0.5) * step
-        grid = TimeGrid(2 * count, -edge, edge)
+        grid = midpoint_grid(math.ceil(5.0 * (1.0 + 1.0 / gamma_hat) / step - 0.5), step)
         train = PulseTrainSpec(sigma_p=1.0, period=10.0, n_side_pulses=0)
         jta = assemble_gated_jta(train, GaussianFilterSpec(gamma=gamma_hat), grid_i=grid, grid_s=grid)
         result = schmidt_decompose(jta, k_max=4)
@@ -217,18 +236,9 @@ class TestSupportTrim:
     def test_matches_full_svd(self, sigma_p, gamma_hat, padding):
         jta = padded_single_pulse_jta(sigma_p, gamma_hat, padding)
         result = schmidt_decompose(jta, k_max=8)
-        coeffs, signal, idler = full_svd_oracle(jta, k_max=8)
-
-        assert abs(float((result.singular_values**2).sum()) - 1.0) <= 1e-12
         assert 0.0 < result.purity <= 1.0
         assert abs(result.purity - closed_form_purity(gamma_hat)) <= 1e-3
-        assert result.singular_values.shape == coeffs.shape
-        assert np.abs(result.singular_values - coeffs).max() <= 1e-13
-        assert abs(result.tail_mass - float((coeffs[8:] ** 2).sum())) <= 1e-13
-        for k in np.flatnonzero(coeffs[:8] ** 2 >= 1e-6):
-            sign = 1.0 if np.vdot(signal[k], result.signal_modes[k]).real > 0 else -1.0
-            assert np.abs(result.signal_modes[k] - sign * signal[k]).max() <= 1e-8
-            assert np.abs(result.idler_modes[k] - sign * idler[k]).max() <= 1e-8
+        assert_matches_full_svd(jta, result, k_max=8)
 
     def test_trim_removes_most_signal_columns(self):
         # The first explicit example above: the SVD sees under half the columns.
@@ -255,6 +265,77 @@ class TestSupportTrim:
             "k,ki,ks->is", scale * result.singular_values[:4], result.idler_modes, result.signal_modes
         )
         assert np.abs(rebuilt - values).max() <= 1e-12
+
+
+def centrosymmetric(shape, seed, complex_values=False):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape)
+    if complex_values:
+        values = values + 1j * rng.normal(size=shape)
+    return values + values[::-1, ::-1]
+
+
+class TestParityFold:
+    def decompose_recording_svd(self, monkeypatch, jta, k_max):
+        # The shapes np.linalg.svd sees during one decomposition.
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", recording)
+            result = schmidt_decompose(jta, k_max=k_max)
+        return result, shapes
+
+    def assert_folded(self, jta, shapes):
+        rows, cols = support(jta.values)
+        m, n = rows.stop - rows.start, cols.stop - cols.start
+        assert len(shapes) == 2
+        assert all(a <= -(-m // 2) and b <= -(-n // 2) for a, b in shapes), (shapes, m, n)
+
+    def test_even_single_pulse_matches_full_svd(self, monkeypatch):
+        grid = midpoint_grid(96, 1.0 / 16.0)
+        train = PulseTrainSpec(sigma_p=1.0, period=10.0, n_side_pulses=0)
+        jta = assemble_gated_jta(train, GaussianFilterSpec(gamma=0.8), grid_i=grid, grid_s=grid)
+        result, shapes = self.decompose_recording_svd(monkeypatch, jta, 8)
+        self.assert_folded(jta, shapes)
+        assert_matches_full_svd(jta, result, k_max=8)
+
+    def test_gated_train_with_centred_gate_matches_full_svd(self, monkeypatch):
+        # M = 3 side pulses, period 4: the gate edges +-2 fall between nodes,
+        # and the side pulses' tails reach into the gate.
+        grid = midpoint_grid(320, 1.0 / 16.0)
+        train = PulseTrainSpec(sigma_p=1.0, period=4.0, n_side_pulses=3)
+        filt = GaussianFilterSpec(gamma=0.6)
+        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=4.0), grid_i=grid, grid_s=grid)
+        result, shapes = self.decompose_recording_svd(monkeypatch, jta, 8)
+        self.assert_folded(jta, shapes)
+        assert_matches_full_svd(jta, result, k_max=8)
+
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 14), (15, 7)])
+    def test_complex_centrosymmetric_matches_full_svd(self, monkeypatch, shape):
+        values = centrosymmetric(shape, seed=17, complex_values=True)
+        jta = JointAmplitude(values, TimeGrid(shape[0], -1.0, 1.0), TimeGrid(shape[1], 0.0, 2.0))
+        result, shapes = self.decompose_recording_svd(monkeypatch, jta, 6)
+        self.assert_folded(jta, shapes)
+        assert_matches_full_svd(jta, result, k_max=6)
+
+    @pytest.mark.parametrize("factor, folded", [(0.9, True), (1.1, False)])
+    def test_perturbation_at_the_budget(self, monkeypatch, factor, folded):
+        # Adding d to one corner gives ||B - EBE||_F = sqrt(2) d.
+        values = centrosymmetric((16, 20), seed=23)
+        corner = factor * FOLD_BUDGET * np.finfo(float).eps * np.linalg.norm(values) / math.sqrt(2.0)
+        values[0, 0] += corner
+        jta = unit_grid_jta(values)
+        result, shapes = self.decompose_recording_svd(monkeypatch, jta, 8)
+        if folded:
+            self.assert_folded(jta, shapes)
+        else:
+            assert shapes == [(16, 20)]
+        assert_matches_full_svd(jta, result, k_max=8)
 
 
 class TestValidationAndSerialization:
