@@ -58,13 +58,9 @@ from .signal_model import (
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
-    duration_fwhm_from_sigma_p,
     filter_fwhm_from_gamma,
     gamma_from_filter_fwhm,
-    half_maximum_width,
-    pump_fwhm_from_sigma_p,
     sample_gate,
-    sigma_p_from_duration_fwhm,
     sigma_p_from_pump_fwhm,
 )
 

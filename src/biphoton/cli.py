@@ -314,7 +314,8 @@ def fit_spectrum(cfg: dict) -> dict:
         "center_GHz": fit.center_ghz,
         "scale": fit.scale,
         "resolution_limited": fit.resolution_limited,
-        "residual_rms": float(np.sqrt(np.mean(fit.residuals**2))),
+        # hypot scales internally, so rates near the float maximum do not overflow.
+        "residual_rms": math.hypot(*fit.residuals / math.sqrt(len(points))),
         "n_points": len(points),
     }
 

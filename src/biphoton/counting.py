@@ -17,7 +17,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError, ParameterError
-from .formatting import write_csv
 from .signal_model import GaussianFilterSpec, SQRT_LN2
 
 # Narrowest photon bandwidth the sweep fit resolves, as a fraction of the
@@ -319,10 +318,12 @@ def fit_hsp_bandwidth(
         fwhm_sq = kernel_fwhm**2 + photon_fwhm**2
         return scale * np.exp(-4.0 * math.log(2.0) * (x - center) ** 2 / fwhm_sq)
 
-    scale0 = float(rates.max())
-    if scale0 <= 0:
-        raise ParameterError("sweep rates are all non-positive")
-    weights = np.clip(rates, 0.0, None)
+    peak = float(rates.max())
+    if not peak >= np.finfo(float).tiny:
+        raise ParameterError(f"sweep rates must peak at a positive normal float64, not {peak:g}")
+    # The fit sees the rates over their peak, so its guess, bounds and steps do not depend on their scale.
+    unit_rates = rates / peak
+    weights = np.clip(unit_rates, 0.0, None)
     total = weights.sum()
     center0 = float((detunings * weights).sum() / total)
     variance = float((weights * (detunings - center0) ** 2).sum() / total)
@@ -338,19 +339,20 @@ def fit_hsp_bandwidth(
         popt, pcov = curve_fit(
             model,
             detunings,
-            rates,
-            p0=[dt0, center0, scale0],
-            bounds=([1e-6, detunings.min(), 1e-6], [dt_max, detunings.max(), 10.0 * scale0]),
+            unit_rates,
+            p0=[dt0, center0, 1.0],
+            bounds=([1e-6, detunings.min(), 1e-6], [dt_max, detunings.max(), 10.0]),
             maxfev=20000,
         )
     except (RuntimeError, ValueError) as exc:
         raise FitConvergenceError(f"bandwidth fit did not converge: {exc}") from exc
 
     delta_t, center, scale = (float(v) for v in popt)
+    scale *= peak
     perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
     delta_nu = SQRT_LN2 / (math.pi * delta_t)
     delta_nu_err = delta_nu * float(perr[0]) / delta_t
-    residuals = rates - model(detunings, *popt)
+    residuals = rates - model(detunings, delta_t, center, scale)
     resolution_limited = delta_nu <= nu_floor * 1.05 or delta_t >= 0.95 * dt_max
 
     return BandwidthFit(
@@ -446,9 +448,3 @@ def read_sweep_csv(path: str) -> list[SweepPoint]:
 
     points, _, _ = _read_csv(path, "sweep", SWEEP_COLUMNS, parse, skip_bad_rows=False)
     return points
-
-
-def write_sweep_csv(points: Sequence[SweepPoint], path: str) -> None:
-    """Write a detuning sweep in the canonical CSV layout."""
-    rows = ([getattr(point, name) for name in SWEEP_COLUMNS.values()] for point in points)
-    write_csv(path, SWEEP_COLUMNS, rows)

@@ -134,7 +134,7 @@ def _lattice(point: DesignPoint) -> tuple[int, float]:
     keeps its full weight and the error is O(h), not falling under
     refinement: at t_hat = 2.3226, gamma_hat = 0.4317 eta_in is off the
     exact value by +1.68e-2 / -3.2e-3 / -3.2e-3 / +1.8e-3 at 16 / 32 / 64
-    / 128 points per sigma (ROADMAP item 2, exact design evaluation).
+    / 128 points per sigma (see the ROADMAP item "Exact gated evaluation").
 
     Raises :class:`ParameterError` when pi / (2 gamma_hat) is not finite,
     before any lattice arithmetic, when t_hat < h, when the node count,

@@ -114,18 +114,15 @@ class GaussianFilterSpec:
 
 @dataclass(frozen=True)
 class TimeGateSpec:
-    """Rectangular time bin, typically one pulse period wide and centred at zero.
+    """Rectangular time bin centred at zero, typically one pulse period wide.
 
     The gate is closed: samples exactly on the boundary are kept.
     """
 
     width: float
-    center: float = 0.0
 
     def __post_init__(self) -> None:
         _require_positive("width", self.width)
-        if not math.isfinite(self.center):
-            raise ParameterError("center must be finite")
 
 
 def train_amplitude(spec: PulseTrainSpec, t: np.ndarray) -> np.ndarray:
@@ -161,8 +158,7 @@ def warn_if_train_cropped(spec: PulseTrainSpec, grid: TimeGrid) -> None:
 
 def sample_gate(spec: TimeGateSpec, grid: TimeGrid) -> np.ndarray:
     """Gate window on ``grid``: 1.0 inside the closed bin, 0.0 outside."""
-    t = grid.points
-    return np.where(np.abs(t - spec.center) <= 0.5 * spec.width, 1.0, 0.0)
+    return np.where(np.abs(grid.points) <= 0.5 * spec.width, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +175,6 @@ def sigma_p_from_pump_fwhm(delta_nu_p: float) -> float:
     return SQRT_2LN2 / (math.pi * delta_nu_p)
 
 
-def pump_fwhm_from_sigma_p(sigma_p: float) -> float:
-    """Pump intensity-spectrum FWHM from the width sigma_p."""
-    _require_positive("sigma_p", sigma_p)
-    return SQRT_2LN2 / (math.pi * sigma_p)
-
-
 def gamma_from_filter_fwhm(delta_nu_f: float) -> float:
     """Filter constant gamma from the amplitude-transmission FWHM."""
     _require_positive("filter bandwidth", delta_nu_f)
@@ -195,43 +185,3 @@ def filter_fwhm_from_gamma(gamma: float) -> float:
     """Amplitude-transmission FWHM of a filter with constant gamma."""
     _require_positive("gamma", gamma)
     return 2.0 * SQRT_LN2 * gamma / math.pi
-
-
-def duration_fwhm_from_sigma_p(sigma_p: float) -> float:
-    """Intensity duration FWHM of a pulse with amplitude width sigma_p."""
-    _require_positive("sigma_p", sigma_p)
-    return sigma_p * SQRT_2LN2
-
-
-def sigma_p_from_duration_fwhm(fwhm: float) -> float:
-    """Amplitude width sigma_p of a pulse with intensity duration FWHM ``fwhm``."""
-    _require_positive("duration", fwhm)
-    return fwhm / SQRT_2LN2
-
-
-def half_maximum_width(x: np.ndarray, y: np.ndarray) -> float:
-    """Full width at half maximum of a sampled curve.
-
-    The crossings are located by linear interpolation between the
-    bracketing samples on each side of the (unique, interior) peak.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ParameterError("x and y must be 1-d arrays of equal length")
-    k = int(np.argmax(y))
-    peak = y[k]
-    if peak <= 0:
-        raise ParameterError("curve has no positive peak")
-    half = 0.5 * peak
-
-    below_left = np.nonzero(y[: k + 1] < half)[0]
-    below_right = np.nonzero(y[k:] < half)[0]
-    if below_left.size == 0 or below_right.size == 0:
-        raise ParameterError("half maximum is not bracketed on both sides of the peak")
-
-    i = below_left[-1]
-    x_left = x[i] + (half - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
-    j = k + below_right[0]
-    x_right = x[j - 1] + (half - y[j - 1]) * (x[j] - x[j - 1]) / (y[j] - y[j - 1])
-    return float(x_right - x_left)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import record_criterion
+from conftest import half_maximum_width, record_criterion
 from test_counting import synthetic_sweep
 from test_joint_amplitude import marginal_by_quadrature
 from test_memory_interface import lattice_step, svd_report
@@ -46,7 +46,6 @@ from biphoton.signal_model import (
     TimeGateSpec,
     TimeGrid,
     gamma_from_filter_fwhm,
-    half_maximum_width,
     sigma_p_from_pump_fwhm,
 )
 

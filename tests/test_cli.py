@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from test_counting import convolved_line
+from test_counting import FIVE_POINT_DETUNINGS, FIVE_POINT_RATES, convolved_line
 
 import biphoton
 import biphoton.cli as cli
 from biphoton.cli import main
-from biphoton.counting import SweepPoint, write_sweep_csv
 from biphoton.memory_interface import DesignPoint, read_in_efficiency
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -574,6 +573,16 @@ class TestFitSpectrumCommand:
             assert result.stdout == ""
             assert result.stderr.splitlines() == [line]
 
+    def test_rates_near_float_maximum_fit(self, runner, tmp_path):
+        # The fit and its residual RMS work on scaled rates, so a sweep peaking
+        # at 1e308 fits without an overflow warning (an error under pytest).
+        sweep_path = tmp_path / "sweep.csv"
+        rows = [f"{x!r},{r * 1e308!r}" for x, r in zip(FIVE_POINT_DETUNINGS, FIVE_POINT_RATES)]
+        sweep_path.write_text("\n".join(["detuning_GHz,normalized_coincidences", *rows]) + "\n")
+        payload = run_json(runner, ["fit-spectrum", "--sweep-csv", str(sweep_path), "--filter-fwhm-ghz", "1.1"])
+        assert payload["delta_nu_GHz"] == pytest.approx(2.90747438, rel=1e-8)
+        assert 0.0 < payload["residual_rms"] < 1e307
+
 
 def test_help_screens(runner):
     assert runner.invoke(main, ["--help"]).exit_code == 0
@@ -690,7 +699,6 @@ def test_csv_artifacts_end_lines_with_lf(runner, tmp_path):
     args = command_args(tmp_path)
     assert runner.invoke(main, args["spectrum"] + ["--output-csv", str(spectrum_csv)]).exit_code == 0
     assert runner.invoke(main, args["sweep"] + ["--output-csv", str(map_csv)]).exit_code == 0
-    write_sweep_csv([SweepPoint(-1.0, 0.5), SweepPoint(0.0, 1.0)], str(tmp_path / "sweep-out.csv"))
-    for name in ("spectrum.csv", "map.csv", "sweep-out.csv"):
+    for name in ("spectrum.csv", "map.csv"):
         data = (tmp_path / name).read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data, name

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from biphoton.counting import (
     COUNT_COLUMNS,
+    SWEEP_COLUMNS,
     CountRecord,
     Measurement,
     OpticalPath,
@@ -26,7 +27,6 @@ from biphoton.counting import (
     read_counts_csv,
     read_sweep_csv,
     subtract_accidentals,
-    write_sweep_csv,
 )
 from biphoton.errors import ParameterError
 from biphoton.formatting import sig9, write_csv
@@ -263,6 +263,11 @@ def synthetic_sweep(delta_nu, filter_fwhm, *, exponent=2.0, center=0.0, scale=1.
     return [SweepPoint(float(xi), float(r)) for xi, r in zip(x, rates)]
 
 
+# A five-point sweep whose fit depended on the scale of its rates.
+FIVE_POINT_DETUNINGS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+FIVE_POINT_RATES = (0.3, 0.7, 1.0, 0.7, 0.3)
+
+
 class TestBandwidthFit:
     @pytest.mark.parametrize("delta_nu", [0.8, 1.78, 3.0])
     def test_noiseless_roundtrip(self, delta_nu):
@@ -314,6 +319,17 @@ class TestBandwidthFit:
         assert abs(fit.scale - scale) <= 1e-4
         assert not fit.resolution_limited
 
+    @pytest.mark.parametrize("k", [-200, -8, 0, 300])
+    def test_fit_is_invariant_under_rate_scale(self, k):
+        # The rates enter the fit over their peak: scaling them by 10^k moves
+        # nu by rounding only and scales the fitted scale by 10^k.
+        filt = GaussianFilterSpec.from_amplitude_fwhm(1.1)
+        points = [SweepPoint(x, r) for x, r in zip(FIVE_POINT_DETUNINGS, FIVE_POINT_RATES)]
+        scaled = [SweepPoint(x, r * 10.0**k) for x, r in zip(FIVE_POINT_DETUNINGS, FIVE_POINT_RATES)]
+        reference, fit = fit_hsp_bandwidth(points, filt), fit_hsp_bandwidth(scaled, filt)
+        assert fit.delta_nu_ghz == pytest.approx(reference.delta_nu_ghz, rel=1e-8)
+        assert fit.scale == pytest.approx(reference.scale * 10.0**k, rel=1e-8)
+
     def test_monochromatic_input_flagged(self):
         # A photon line far narrower than anything the sweep can resolve
         # pushes the fit to its resolution floor and must be flagged.
@@ -330,6 +346,10 @@ class TestBandwidthFit:
         flat = [SweepPoint(x, 0.0) for x in np.linspace(-4, 4, 9)]
         with pytest.raises(ParameterError):
             fit_hsp_bandwidth(flat, filt)
+        # Over a subnormal peak, a rate of -0.5 would overflow to -inf.
+        subnormal = [SweepPoint(x, -0.5 if x < 0 else 1e-310) for x in np.linspace(-4, 4, 9)]
+        with pytest.raises(ParameterError, match="positive normal float64, not 1e-310"):
+            fit_hsp_bandwidth(subnormal, filt)
 
     def test_scipy_is_imported_by_the_fit_alone(self):
         # A fresh interpreter: importing the package and its CLI leaves scipy
@@ -478,7 +498,7 @@ class TestCsvIngestion:
     def test_sweep_roundtrip(self, tmp_path):
         points = synthetic_sweep(1.78, 1.1, n=7)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(points, str(path))
+        write_csv(str(path), SWEEP_COLUMNS, ((p.detuning_ghz, p.normalized_rate) for p in points))
         back = read_sweep_csv(str(path))
         assert len(back) == 7
         assert back[3].detuning_ghz == pytest.approx(points[3].detuning_ghz, rel=1e-8)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import half_maximum_width
+
 from biphoton.errors import GridMismatchError, ParameterError
 from biphoton.joint_amplitude import (
     FREQUENCY_DOMAIN,
@@ -20,8 +22,6 @@ from biphoton.signal_model import (
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
-    half_maximum_width,
-    pump_fwhm_from_sigma_p,
 )
 
 
@@ -150,7 +150,8 @@ class TestFrequencyDomain:
         spectral = to_frequency_domain(assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid))
         marginal = (np.abs(spectral.values) ** 2).sum(axis=0) * spectral.axis_i.step
         fwhm = half_maximum_width(spectral.axis_s.points, marginal)
-        assert abs(fwhm - pump_fwhm_from_sigma_p(1.0)) <= spectral.axis_s.step
+        # The pump intensity spectrum FWHM at sigma_p = 1: sqrt(2 ln 2) / pi.
+        assert abs(fwhm - math.sqrt(2.0 * math.log(2.0)) / math.pi) <= spectral.axis_s.step
 
     def test_pulse_train_gives_frequency_comb(self):
         # Pulses separated by T produce marginal peaks spaced by 1/T.

@@ -4,19 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import half_maximum_width
+
 from biphoton.errors import CoverageWarning, ParameterError
 from biphoton.signal_model import (
     GaussianFilterSpec,
     PulseTrainSpec,
     TimeGateSpec,
     TimeGrid,
-    duration_fwhm_from_sigma_p,
     filter_fwhm_from_gamma,
     gamma_from_filter_fwhm,
-    half_maximum_width,
-    pump_fwhm_from_sigma_p,
     sample_gate,
-    sigma_p_from_duration_fwhm,
     sigma_p_from_pump_fwhm,
     train_amplitude,
     warn_if_train_cropped,
@@ -56,11 +54,14 @@ class TestSpecs:
 
     def test_gate_bounds(self):
         grid = TimeGrid(9, -1.5, 2.5)  # nodes every 0.5
-        values = sample_gate(TimeGateSpec(width=2.0, center=0.5), grid)
-        assert np.array_equal(values, (np.abs(grid.points - 0.5) <= 1.0).astype(float))
+        values = sample_gate(TimeGateSpec(width=2.0), grid)
+        assert np.array_equal(values, (np.abs(grid.points) <= 1.0).astype(float))
         assert values.sum() == 5.0
         with pytest.raises(ParameterError):
             TimeGateSpec(width=0.0)
+        # The gate is always centred on the heralding pulse.
+        with pytest.raises(TypeError):
+            TimeGateSpec(width=1.0, center=0.5)
 
 
 class TestPumpTrain:
@@ -126,7 +127,7 @@ def full_train_sum(train, t):
 
 class TestFilterAndGate:
     def test_gate_boundary_samples_kept(self):
-        gate = TimeGateSpec(width=2.0, center=0.0)
+        gate = TimeGateSpec(width=2.0)
         grid = TimeGrid(41, -2.0, 2.0)  # nodes exactly at +/-1
         values = sample_gate(gate, grid)
         t = grid.points
@@ -135,7 +136,7 @@ class TestFilterAndGate:
         assert values[np.abs(t) > 1.0 + 1e-12].max() == 0.0
 
     def test_gate_idempotent(self):
-        gate = TimeGateSpec(width=1.3, center=0.2)
+        gate = TimeGateSpec(width=1.3)
         grid = TimeGrid(97, -3.0, 3.0)
         values = sample_gate(gate, grid)
         assert np.array_equal(values * values, values)
@@ -145,31 +146,27 @@ class TestConversions:
     def test_pump_roundtrip_and_anchor(self):
         sigma = sigma_p_from_pump_fwhm(1.3)
         assert sigma == pytest.approx(0.288293269, rel=1e-8)
-        assert pump_fwhm_from_sigma_p(sigma) == pytest.approx(1.3, rel=1e-12)
+        # Intensity spectrum FWHM of exp(-t^2 / sigma^2): sqrt(2 ln 2) / (pi sigma).
+        assert math.sqrt(2.0 * math.log(2.0)) / (math.pi * sigma) == pytest.approx(1.3, rel=1e-12)
 
     def test_filter_roundtrip_and_anchor(self):
         gamma = gamma_from_filter_fwhm(1.4)
         assert gamma == pytest.approx(2.64140613, rel=1e-8)
         assert filter_fwhm_from_gamma(gamma) == pytest.approx(1.4, rel=1e-12)
 
-    def test_duration_roundtrip(self):
-        assert sigma_p_from_duration_fwhm(duration_fwhm_from_sigma_p(0.37)) == pytest.approx(0.37, rel=1e-12)
-
     def test_time_bandwidth_product(self):
-        # Gaussian intensity FWHM product: duration * bandwidth = 2 ln 2 / pi.
-        sigma = 0.234
-        product = duration_fwhm_from_sigma_p(sigma) * pump_fwhm_from_sigma_p(sigma)
-        assert product == pytest.approx(2.0 * math.log(2.0) / math.pi, rel=1e-12)
+        # Gaussian intensity FWHM product: duration * bandwidth = 2 ln 2 / pi,
+        # with the duration FWHM sigma_p sqrt(2 ln 2) of exp(-t^2 / sigma_p^2).
+        bandwidth = 2.7
+        duration = sigma_p_from_pump_fwhm(bandwidth) * math.sqrt(2.0 * math.log(2.0))
+        assert duration * bandwidth == pytest.approx(2.0 * math.log(2.0) / math.pi, rel=1e-12)
 
     @pytest.mark.parametrize(
         "func",
         [
             sigma_p_from_pump_fwhm,
-            pump_fwhm_from_sigma_p,
             gamma_from_filter_fwhm,
             filter_fwhm_from_gamma,
-            duration_fwhm_from_sigma_p,
-            sigma_p_from_duration_fwhm,
         ],
     )
     def test_conversions_reject_non_positive(self, func):
@@ -190,10 +187,10 @@ class TestHalfMaximumWidth:
     def test_unbracketed_peak_raises(self):
         x = np.linspace(0, 1, 50)
         y = np.exp(-(x**2))  # peak at the left edge, no left crossing
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             half_maximum_width(x, y)
 
     def test_no_positive_peak_raises(self):
         x = np.linspace(0, 1, 10)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             half_maximum_width(x, np.full_like(x, -1.0))
