@@ -274,7 +274,7 @@ def analyze(cfg: dict) -> dict:
             fits[label] = {
                 "slope": fit.slope,
                 "intercept": fit.intercept,
-                "residual_rms": float(np.sqrt(np.mean(fit.residuals**2))),
+                "residual_rms": math.hypot(*fit.residuals / math.sqrt(len(records))),
             }
 
     return {

@@ -166,17 +166,11 @@ def heralding_efficiency(record: CountRecord, path: OpticalPath) -> Measurement:
     denom = record.c_t * path.transmission * path.detector_efficiency
     eta = net / denom
 
-    err_net = math.sqrt(
-        _poisson_rate_err(record.c_s_given_t, tau) ** 2
-        + _poisson_rate_err(record.acc_s_given_t, tau) ** 2
-    )
-    d_net = 1.0 / denom
-    d_ct = -eta / record.c_t
-    d_ts = -eta / path.transmission
-    err = math.sqrt(
-        (d_net * err_net) ** 2
-        + (d_ct * _poisson_rate_err(record.c_t, tau)) ** 2
-        + (d_ts * path.transmission_err) ** 2
+    err = math.hypot(
+        _poisson_rate_err(record.c_s_given_t, tau) / denom,
+        _poisson_rate_err(record.acc_s_given_t, tau) / denom,
+        eta / record.c_t * _poisson_rate_err(record.c_t, tau),
+        eta / path.transmission * path.transmission_err,
     )
     return Measurement(eta, err)
 
@@ -192,17 +186,13 @@ def heralded_g2(record: CountRecord) -> Measurement:
     if record.c_t <= 0:
         raise ParameterError("heralded g2 undefined without triggers")
     tau = record.integration_time_s
-    g2 = record.c_hv_given_t * record.c_t / (record.c_h_given_t * record.c_v_given_t)
-
-    d_hv = record.c_t / (record.c_h_given_t * record.c_v_given_t)
-    d_ct = record.c_hv_given_t / (record.c_h_given_t * record.c_v_given_t)
-    d_h = -g2 / record.c_h_given_t
-    d_v = -g2 / record.c_v_given_t
-    err = math.sqrt(
-        (d_hv * _poisson_rate_err(record.c_hv_given_t, tau)) ** 2
-        + (d_ct * _poisson_rate_err(record.c_t, tau)) ** 2
-        + (d_h * _poisson_rate_err(record.c_h_given_t, tau)) ** 2
-        + (d_v * _poisson_rate_err(record.c_v_given_t, tau)) ** 2
+    # Quotients before products, and hypot for the error: no intermediate overflows.
+    g2 = record.c_hv_given_t / record.c_h_given_t * (record.c_t / record.c_v_given_t)
+    err = math.hypot(
+        record.c_t / record.c_v_given_t / record.c_h_given_t * _poisson_rate_err(record.c_hv_given_t, tau),
+        record.c_hv_given_t / record.c_h_given_t / record.c_v_given_t * _poisson_rate_err(record.c_t, tau),
+        g2 / record.c_h_given_t * _poisson_rate_err(record.c_h_given_t, tau),
+        g2 / record.c_v_given_t * _poisson_rate_err(record.c_v_given_t, tau),
     )
     return Measurement(g2, err)
 
@@ -242,10 +232,7 @@ def mode_match_ratio(eta_hsp: Measurement, eta_coherent: Measurement) -> Measure
     if eta_coherent.value <= 0:
         raise ParameterError("coherent reference efficiency must be positive")
     ratio = eta_hsp.value / eta_coherent.value
-    d_hsp = 1.0 / eta_coherent.value
-    d_coh = -ratio / eta_coherent.value
-    err = math.sqrt((d_hsp * eta_hsp.err) ** 2 + (d_coh * eta_coherent.err) ** 2)
-    return Measurement(ratio, err)
+    return Measurement(ratio, math.hypot(eta_hsp.err, ratio * eta_coherent.err) / eta_coherent.value)
 
 
 @dataclass(frozen=True)
@@ -277,6 +264,15 @@ def fit_hsp_bandwidth(
     delta_nu = photon = sqrt(ln 2) / (pi delta_t).  Widths below
     kernel/16 are flagged ``resolution_limited``.
 
+    Least squares by variable projection, in units of the span and the
+    peak rate: with the scale solved in closed form, a grid of centres on
+    (up to 128 of) the samples and 16 log-spaced FWHM^2 from kernel^2 +
+    (kernel/16)^2 to (2 span)^2 gives the start; damped Gauss-Newton steps
+    on (scale, centre, FWHM^2), the centre inside the sweep and photon >=
+    kernel/16, refine it until a step moves no parameter by 1e-10 (photon^2
+    relative) or could lower the sum of squared residuals (SSR) by 1e-12
+    of it.  Errors: the diagonal of (J^T J)^-1 SSR / (n - 3) at the end.
+
     Parameters
     ----------
     points:
@@ -291,7 +287,7 @@ def fit_hsp_bandwidth(
     Raises
     ------
     FitConvergenceError
-        When the least-squares optimizer does not converge.
+        When 100 steps miss the tolerance, or no damped step lowers the SSR.
     """
     if transmission not in ("intensity", "amplitude"):
         raise ParameterError(f"unknown transmission convention {transmission!r}")
@@ -300,70 +296,74 @@ def fit_hsp_bandwidth(
     detunings = np.array([p.detuning_ghz for p in points], dtype=float)
     rates = np.array([p.normalized_rate for p in points], dtype=float)
     # Python floats: a span past the float maximum is inf, with no numpy warning.
-    span = float(detunings.max()) - float(detunings.min())
+    low = float(detunings.min())
+    span = float(detunings.max()) - low
     filter_fwhm = signal_filter.amplitude_fwhm
     if span < filter_fwhm:
         raise ParameterError("sweep must span at least one filter FWHM")
-    # The initial guess and the line model square detuning differences.
     if not math.isfinite(span * span):
         raise ParameterError(f"sweep spans {span:g} GHz, whose square overflows a float64")
 
-    exponent = 2.0 if transmission == "intensity" else 1.0
-    kernel_fwhm = filter_fwhm / math.sqrt(exponent)
+    kernel_fwhm = filter_fwhm / math.sqrt(2.0 if transmission == "intensity" else 1.0)
     nu_floor = kernel_fwhm * RESOLUTION_FLOOR_PER_KERNEL_FWHM
     dt_max = SQRT_LN2 / (math.pi * nu_floor)
-
-    def model(x: np.ndarray, delta_t: float, center: float, scale: float) -> np.ndarray:
-        photon_fwhm = SQRT_LN2 / (math.pi * delta_t)
-        fwhm_sq = kernel_fwhm**2 + photon_fwhm**2
-        return scale * np.exp(-4.0 * math.log(2.0) * (x - center) ** 2 / fwhm_sq)
-
+    # Squared widths over the span squared: the scan line's, and the floor on the photon's.
+    kernel_sq, floor_sq = (kernel_fwhm / span) ** 2, (nu_floor / span) ** 2
+    if not floor_sq >= np.finfo(float).tiny:
+        raise ParameterError(f"sweep spans {span / nu_floor:g} resolution floors, too many for a float64")
     peak = float(rates.max())
     if not peak >= np.finfo(float).tiny:
         raise ParameterError(f"sweep rates must peak at a positive normal float64, not {peak:g}")
-    # The fit sees the rates over their peak, so its guess, bounds and steps do not depend on their scale.
-    unit_rates = rates / peak
-    weights = np.clip(unit_rates, 0.0, None)
-    total = weights.sum()
-    center0 = float((detunings * weights).sum() / total)
-    variance = float((weights * (detunings - center0) ** 2).sum() / total)
-    total_fwhm = max(2.355 * math.sqrt(max(variance, 0.0)), kernel_fwhm)
-    nu0_sq = max(total_fwhm**2 - kernel_fwhm**2, (2.0 * nu_floor) ** 2)
-    dt0 = SQRT_LN2 / (math.pi * math.sqrt(nu0_sq))
-    dt0 = min(dt0, 0.9 * dt_max)
+    # In units of the span and the peak rate, the grid, bounds and tolerances are scale-free.
+    u, y = (detunings - low) / span, rates / peak
+    a = 4.0 * math.log(2.0)
 
-    # Imported here, not at module level: scipy.optimize costs about 0.5 s, and only this fit needs it.
-    from scipy.optimize import curve_fit
+    # Grid centres on (up to 128 of) the samples, the peak among them, so each line has g.g >= 1.
+    stride = -(-len(u) // 128)
+    keep = slice(int(np.argmax(y)) % stride, None, stride)
+    widths = np.geomspace(kernel_sq + floor_sq, 4.0, 16)[:, None, None]
+    g = np.exp(-a * (u[keep] - u[keep, None]) ** 2 / widths)
+    gy, gg = g @ y[keep], (g * g).sum(axis=2)
+    i, j = np.unravel_index(np.argmax(gy * gy / gg), gy.shape)
+    theta = np.array([gy[i, j] / gg[i, j], u[keep][j], widths[i, 0, 0] - kernel_sq])
 
-    try:
-        popt, pcov = curve_fit(
-            model,
-            detunings,
-            unit_rates,
-            p0=[dt0, center0, 1.0],
-            bounds=([1e-6, detunings.min(), 1e-6], [dt_max, detunings.max(), 10.0]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise FitConvergenceError(f"bandwidth fit did not converge: {exc}") from exc
+    def residual(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        line = np.exp(-a * (u - theta[1]) ** 2 / (kernel_sq + theta[2]))
+        return y - theta[0] * line, line
 
-    delta_t, center, scale = (float(v) for v in popt)
-    scale *= peak
-    perr = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-    delta_nu = SQRT_LN2 / (math.pi * delta_t)
-    delta_nu_err = delta_nu * float(perr[0]) / delta_t
-    residuals = rates - model(detunings, delta_t, center, scale)
-    resolution_limited = delta_nu <= nu_floor * 1.05 or delta_t >= 0.95 * dt_max
+    lower, upper = np.array([-np.inf, 0.0, floor_sq]), np.array([np.inf, 1.0, np.inf])
+    for _ in range(100):
+        r, g = residual(theta)
+        s, c, q = theta
+        d = (u - c) / (kernel_sq + q)
+        jac = np.column_stack([g, 2.0 * a * s * g * d, a * s * g * d * d])
+        # A parameter on a bound that the SSR gradient pushes outward stays
+        # there: its column is zeroed, so the least-norm step leaves it.
+        grad = jac.T @ r
+        free = ~((theta <= lower) & (grad < 0) | (theta >= upper) & (grad > 0))
+        step = np.linalg.lstsq(jac * free, r, rcond=None)[0]
+        if np.max(np.abs(step) / [1.0, 1.0, q]) <= 1e-10 or np.sum((jac @ step) ** 2) <= 1e-12 * (r @ r):
+            break
+        for t in 0.5 ** np.arange(30):
+            trial = np.clip(theta + t * step, lower, upper)
+            r_trial = residual(trial)[0]
+            if r_trial @ r_trial < r @ r:
+                theta = trial
+                break
+        else:
+            raise FitConvergenceError("bandwidth fit did not converge: no step lowers the residual")
+    else:
+        raise FitConvergenceError("bandwidth fit did not converge within 100 Gauss-Newton steps")
 
+    var_q = float((np.linalg.pinv(jac)[2] ** 2).sum() * (r @ r)) / (len(u) - 3)
+    # delta_nu = span sqrt(q), so d(delta_nu) = span dq / (2 sqrt(q)); delta_t ~ 1 / delta_nu.
+    delta_nu, delta_nu_err = span * math.sqrt(q), span * math.sqrt(var_q / q) / 2.0
+    delta_t = SQRT_LN2 / (math.pi * delta_nu)
     return BandwidthFit(
-        delta_t_ns=delta_t,
-        delta_t_err_ns=float(perr[0]),
-        delta_nu_ghz=delta_nu,
-        delta_nu_err_ghz=delta_nu_err,
-        center_ghz=center,
-        scale=scale,
-        residuals=residuals,
-        resolution_limited=resolution_limited,
+        delta_t_ns=delta_t, delta_t_err_ns=delta_t * delta_nu_err / delta_nu,
+        delta_nu_ghz=delta_nu, delta_nu_err_ghz=delta_nu_err,
+        center_ghz=low + c * span, scale=s * peak, residuals=r * peak,
+        resolution_limited=delta_nu <= nu_floor * 1.05 or delta_t >= 0.95 * dt_max,
     )
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +491,27 @@ class TestAnalyzeCommand:
         assert payload["aggregate"]["g2"] == pytest.approx(mean, rel=1e-8)
         assert payload["aggregate"]["g2_err"] == pytest.approx(math.sqrt(1.0 / sum(weights)), rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "heralded",
+        [
+            # Every rate near 1e200: the c_T fit's residuals, near 1e199, square past the float maximum.
+            "5e199,5e199,7e197,6.5e197,5e195,1e197",
+            # Triggers alone near 1e200: so do the terms of g2's error.
+            "5000,5000,70,65,0.5,10",
+        ],
+    )
+    def test_rates_near_1e200_give_finite_residual_rms(self, runner, tmp_path, heralded):
+        counts = tmp_path / "counts.csv"
+        rows = [f"{power},{c_t},{heralded}\n" for power, c_t in ((10, "1e200"), (20, "2.1e200"), (30, "2.9e200"))]
+        counts.write_text(COUNTS_HEADER + "\n" + "".join(rows))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            payload = run_json(runner, self.analyze_args(counts))
+        assert [str(w.message) for w in caught] == []
+        # Residuals -0.05, 0.1, -0.05 (times 1e200) about the line 0.1 + 0.095 p.
+        assert payload["fits"]["c_T"]["residual_rms"] == pytest.approx(math.sqrt(0.005) * 1e200, rel=1e-8)
+        assert all(math.isfinite(row["g2_err"]) for row in payload["records"])
+
     def test_rate_fits_need_three_records_and_two_powers(self, runner, tmp_path):
         lines = COUNTS_BODY.splitlines()
         equal_power = ["10," + line.split(",", 1)[1] for line in lines[1:]]
@@ -580,7 +602,8 @@ class TestFitSpectrumCommand:
         rows = [f"{x!r},{r * 1e308!r}" for x, r in zip(FIVE_POINT_DETUNINGS, FIVE_POINT_RATES)]
         sweep_path.write_text("\n".join(["detuning_GHz,normalized_coincidences", *rows]) + "\n")
         payload = run_json(runner, ["fit-spectrum", "--sweep-csv", str(sweep_path), "--filter-fwhm-ghz", "1.1"])
-        assert payload["delta_nu_GHz"] == pytest.approx(2.90747438, rel=1e-8)
+        # 2.90747451 is the least-squares minimum of the unscaled sweep.
+        assert payload["delta_nu_GHz"] == pytest.approx(2.90747451, rel=1e-8)
         assert 0.0 < payload["residual_rms"] < 1e307
 
 
