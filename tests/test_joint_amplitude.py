@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,65 @@ class TestFrequencyDomain:
         spectral = to_frequency_domain(jta)
         rel = abs(spectral.norm_squared - jta.norm_squared) / jta.norm_squared
         assert rel <= 1e-9
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("shape", [(7, 8), (8, 7), (31, 47), (64, 64)])
+    def test_matches_direct_dft(self, shape, is_complex):
+        # Oracle without np.fft: F = dt_i dt_s E_i V E_s^T, E[k, j] = exp(-2 pi i nu_k t_j),
+        # on the centred frequencies (k - n // 2) / (n dt).
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=shape)
+        if is_complex:
+            values = values + 1j * rng.normal(size=shape)
+        grid_i, grid_s = TimeGrid(shape[0], -1.3, 2.1), TimeGrid(shape[1], 0.4, 3.3)
+        spectral = to_frequency_domain(JointAmplitude(values, grid_i, grid_s))
+
+        def kernel(grid):
+            nu = (np.arange(grid.n_points) - grid.n_points // 2) / (grid.n_points * grid.step)
+            return nu, np.exp(-2j * np.pi * np.outer(nu, grid.points))
+
+        nu_i, e_i = kernel(grid_i)
+        nu_s, e_s = kernel(grid_s)
+        expected = grid_i.step * grid_s.step * (e_i @ values @ e_s.T)
+        assert np.allclose(spectral.axis_i.points, nu_i, rtol=0.0, atol=1e-12 * np.abs(nu_i).max())
+        assert np.allclose(spectral.axis_s.points, nu_s, rtol=0.0, atol=1e-12 * np.abs(nu_s).max())
+        scale = np.abs(expected).max()
+        assert np.abs(spectral.values - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("shape", [(7, 8), (8, 7), (31, 47), (64, 64)])
+    def test_even_real_amplitude_has_real_spectrum(self, shape):
+        # f(-t_i, -t_s) = f(t_i, t_s) on a grid symmetric about 0 makes F real.
+        rng = np.random.default_rng(12)
+        half = rng.normal(size=shape)
+        values = half + half[::-1, ::-1]
+        jta = JointAmplitude(values, TimeGrid(shape[0], -1.7, 1.7), TimeGrid(shape[1], -2.2, 2.2))
+        spectral = to_frequency_domain(jta).values
+        assert np.abs(spectral.imag).max() <= 1e-13 * np.abs(spectral).max()
+
+    def test_real_amplitude_peaks_at_one_and_a_half_spectra(self):
+        # The real route holds the half spectrum and the output, 1.5 n^2
+        # complex values; fft2 plus a shifted copy would hold 2.0.
+        n = 256
+        values = np.random.default_rng(13).normal(size=(n, n))
+        jta = JointAmplitude(values, TimeGrid(n, -1.3, 2.1), TimeGrid(n, 0.4, 3.3))
+        to_frequency_domain(jta)
+        tracemalloc.start()
+        try:
+            to_frequency_domain(jta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * n * n * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("shape", [(256, 256), (31, 47), (48, 33)])
+    def test_real_route_matches_complex_route(self, shape):
+        values = np.random.default_rng(14).normal(size=shape)
+        grid_i, grid_s = TimeGrid(shape[0], -1.3, 2.1), TimeGrid(shape[1], 0.4, 3.3)
+        real = to_frequency_domain(JointAmplitude(values, grid_i, grid_s))
+        cast = to_frequency_domain(JointAmplitude(values.astype(complex), grid_i, grid_s))
+        assert (real.axis_i, real.axis_s) == (cast.axis_i, cast.axis_s)
+        scale = np.abs(cast.values).max()
+        assert np.abs(real.values - cast.values).max() <= 1e-13 * scale
 
     def test_zero_maps_to_zero(self):
         jta = small_jta(np.zeros((16, 16)))
