@@ -321,41 +321,59 @@ def fit_hsp_bandwidth(
     # Grid centres on (up to 128 of) the samples, the peak among them, so each line has g.g >= 1.
     stride = -(-len(u) // 128)
     keep = slice(int(np.argmax(y)) % stride, None, stride)
-    widths = np.geomspace(kernel_sq + floor_sq, 4.0, 16)[:, None, None]
-    g = np.exp(-a * (u[keep] - u[keep, None]) ** 2 / widths)
-    gy, gg = g @ y[keep], (g * g).sum(axis=2)
+    uk = u[keep]
+    # 16 FWHM^2 in geometric steps from kernel^2 + floor^2 to 4, and one (16, k, k)
+    # buffer that holds the lines, then their squares.
+    first = kernel_sq + floor_sq
+    widths = first * (4.0 / first) ** (np.arange(16) / 15.0)
+    g = np.multiply.outer(-a / widths, np.square(uk[:, None] - uk))
+    gy = np.exp(g, out=g) @ y[keep]
+    gg = np.square(g, out=g).sum(axis=2)
     i, j = np.unravel_index(np.argmax(gy * gy / gg), gy.shape)
-    theta = np.array([gy[i, j] / gg[i, j], u[keep][j], widths[i, 0, 0] - kernel_sq])
+    s, c, q = float(gy[i, j] / gg[i, j]), float(uk[j]), float(widths[i]) - kernel_sq
 
-    def residual(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        line = np.exp(-a * (u - theta[1]) ** 2 / (kernel_sq + theta[2]))
-        return y - theta[0] * line, line
+    def residual(s: float, c: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+        line = np.exp(-a * (u - c) ** 2 / (kernel_sq + q))
+        return y - s * line, line
 
-    lower, upper = np.array([-np.inf, 0.0, floor_sq]), np.array([np.inf, 1.0, np.inf])
+    # Python floats and one Jacobian buffer: at tens of points a step's cost is numpy call
+    # overhead, not arithmetic.
+    r, line = residual(s, c, q)
+    rr = float(r @ r)
+    jac = np.empty((3, len(u))).T
+    halvings = [0.5**k for k in range(30)]
     for _ in range(100):
-        r, g = residual(theta)
-        s, c, q = theta
         d = (u - c) / (kernel_sq + q)
-        jac = np.column_stack([g, 2.0 * a * s * g * d, a * s * g * d * d])
+        jac[:, 0] = line
+        np.multiply(line, 2.0 * a * s, out=jac[:, 1])
+        jac[:, 1] *= d
+        np.multiply(line, a * s, out=jac[:, 2])
+        jac[:, 2] *= d
+        jac[:, 2] *= d
         # A parameter on a bound that the SSR gradient pushes outward stays
         # there: its column is zeroed, so the least-norm step leaves it.
-        grad = jac.T @ r
-        free = ~((theta <= lower) & (grad < 0) | (theta >= upper) & (grad > 0))
-        step = np.linalg.lstsq(jac * free, r, rcond=None)[0]
-        if np.max(np.abs(step) / [1.0, 1.0, q]) <= 1e-10 or np.sum((jac @ step) ** 2) <= 1e-12 * (r @ r):
+        lhs = jac
+        if c <= 0.0 or c >= 1.0 or q <= floor_sq:
+            grad = jac.T @ r
+            lhs = jac * [True, not (c <= 0.0 and grad[1] < 0 or c >= 1.0 and grad[1] > 0),
+                         not (q <= floor_sq and grad[2] < 0)]
+        step = np.linalg.lstsq(lhs, r, rcond=None)[0]
+        ds, dc, dq = step.tolist()
+        if max(abs(ds), abs(dc), abs(dq) / q) <= 1e-10 or np.sum((jac @ step) ** 2) <= 1e-12 * rr:
             break
-        for t in 0.5 ** np.arange(30):
-            trial = np.clip(theta + t * step, lower, upper)
-            r_trial = residual(trial)[0]
-            if r_trial @ r_trial < r @ r:
-                theta = trial
+        for t in halvings:
+            trial = s + t * ds, min(max(c + t * dc, 0.0), 1.0), max(q + t * dq, floor_sq)
+            r_trial, line_trial = residual(*trial)
+            rr_trial = float(r_trial @ r_trial)
+            if rr_trial < rr:
+                (s, c, q), r, line, rr = trial, r_trial, line_trial, rr_trial
                 break
         else:
             raise FitConvergenceError("bandwidth fit did not converge: no step lowers the residual")
     else:
         raise FitConvergenceError("bandwidth fit did not converge within 100 Gauss-Newton steps")
 
-    var_q = float((np.linalg.pinv(jac)[2] ** 2).sum() * (r @ r)) / (len(u) - 3)
+    var_q = float((np.linalg.pinv(jac)[2] ** 2).sum()) * rr / (len(u) - 3)
     # delta_nu = span sqrt(q), so d(delta_nu) = span dq / (2 sqrt(q)); delta_t ~ 1 / delta_nu.
     delta_nu, delta_nu_err = span * math.sqrt(q), span * math.sqrt(var_q / q) / 2.0
     delta_t = SQRT_LN2 / (math.pi * delta_nu)
@@ -390,7 +408,8 @@ def _read_csv(
 ) -> tuple[list, list[str], list[str]]:
     """``parse(row)`` of every data row, the ``"line N: reason"`` of each skipped row, and the header.
 
-    A row that ``parse`` rejects is skipped when ``skip_bad_rows`` and
+    ``N`` is the row's physical line in the file, blank lines counted.  A
+    row that ``parse`` rejects is skipped when ``skip_bad_rows`` and
     raises with its line number otherwise.  A missing ``required`` column
     or a file without a parsed row raises :class:`ParameterError`.
     """
@@ -401,13 +420,13 @@ def _read_csv(
         missing = [col for col in required if col not in header]
         if missing:
             raise ParameterError(f"{kind} CSV is missing required columns: {', '.join(missing)}")
-        for line_number, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 items.append(parse(row))
             except (TypeError, ValueError, ParameterError) as exc:
                 if not skip_bad_rows:
-                    raise ParameterError(f"{kind} CSV line {line_number}: {exc}") from exc
-                issues.append(f"line {line_number}: {exc}")
+                    raise ParameterError(f"{kind} CSV line {reader.line_num}: {exc}") from exc
+                issues.append(f"line {reader.line_num}: {exc}")
     if not items:
         raise ParameterError(f"no usable rows in {kind} CSV {path!r}")
     return items, issues, header

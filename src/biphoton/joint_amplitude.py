@@ -69,7 +69,7 @@ class JointAmplitude:
     @property
     def norm_squared(self) -> float:
         """Quadrature norm: sum of |f|^2 times the cell area."""
-        total = float((np.abs(self.values) ** 2).sum())
+        total = float(np.vdot(self.values, self.values).real)
         return total * self.axis_i.step * self.axis_s.step
 
 

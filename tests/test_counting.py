@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton.cli import main
 from biphoton.counting import (
     COUNT_COLUMNS,
     SWEEP_COLUMNS,
@@ -409,14 +411,10 @@ print(json.dumps({"scipy": scipy, "delta_nu": fit.delta_nu_ghz}))
         assert self.normalized_ssr(fit, points) <= 1e-20
         assert not fit.resolution_limited
 
-    def test_ssr_never_above_curve_fit(self):
-        # The least-squares oracle: scipy's curve_fit with the moment-based
-        # start and the bounds this fit once used.  Over seeded sweeps of both
-        # conventions, 21-81 points, photon/filter ratios 1.5-3, spans of
-        # 2-4 line FWHMs and 2% multiplicative noise, the fit's SSR never
-        # exceeds curve_fit's by more than rounding.
-        from scipy.optimize import curve_fit
-
+    @staticmethod
+    def oracle_sweeps():
+        """200 seeded sweeps of both conventions, 21-81 points, photon/filter
+        ratios 1.5-3, spans of 2-4 line FWHMs and 2% multiplicative noise."""
         rng = np.random.default_rng(20261019)
         a = 4.0 * math.log(2.0)
         for k in range(200):
@@ -431,7 +429,16 @@ print(json.dumps({"scipy": scipy, "delta_nu": fit.delta_nu_ghz}))
             rates *= rng.normal(1.0, 0.02, x.size)
             points = [SweepPoint(float(xi), float(r)) for xi, r in zip(x, rates)]
             fit = fit_hsp_bandwidth(points, GaussianFilterSpec.from_amplitude_fwhm(filter_fwhm), transmission)
+            yield k, fit, points, x, rates / rates.max(), kernel, center, ratio * filter_fwhm
 
+    def test_ssr_never_above_curve_fit(self):
+        # The least-squares oracle: scipy's curve_fit with the moment-based
+        # start and the bounds this fit once used.  Over the oracle sweeps,
+        # the fit's SSR never exceeds curve_fit's by more than rounding.
+        from scipy.optimize import curve_fit
+
+        a = 4.0 * math.log(2.0)
+        for k, fit, points, x, y, kernel, center, photon in self.oracle_sweeps():
             floor = kernel / 16.0
             dt_max = math.sqrt(math.log(2.0)) / (math.pi * floor)
 
@@ -439,13 +446,12 @@ print(json.dumps({"scipy": scipy, "delta_nu": fit.delta_nu_ghz}))
                 photon = math.sqrt(math.log(2.0)) / (math.pi * delta_t)
                 return scale * np.exp(-a * (x - center) ** 2 / (kernel**2 + photon**2))
 
-            y = rates / rates.max()
             weights = np.clip(y, 0.0, None)
             center0 = float((x * weights).sum() / weights.sum())
             spread = 2.355 * math.sqrt(float((weights * (x - center0) ** 2).sum() / weights.sum()))
             nu0_sq = max(max(spread, kernel) ** 2 - kernel**2, (2.0 * floor) ** 2)
             dt0 = min(math.sqrt(math.log(2.0)) / (math.pi * math.sqrt(nu0_sq)), 0.9 * dt_max)
-            drawn = math.sqrt(math.log(2.0)) / (math.pi * ratio * filter_fwhm)
+            drawn = math.sqrt(math.log(2.0)) / (math.pi * photon)
             oracle = math.inf
             for start in ([dt0, center0, 1.0], [drawn, center, 1.0]):
                 popt, _ = curve_fit(
@@ -454,6 +460,30 @@ print(json.dumps({"scipy": scipy, "delta_nu": fit.delta_nu_ghz}))
                 )
                 oracle = min(oracle, float(np.sum((y - model(x, *popt)) ** 2)))
             assert self.normalized_ssr(fit, points) <= oracle * (1.0 + 1e-9), k
+
+    def test_error_bar_matches_curve_fit(self):
+        # The error is curve_fit's (J^T J)^-1 SSR / (n - 3): curve_fit in
+        # (scale, centre, photon^2), started at the fit's own point with an
+        # analytic Jacobian, gives the same Delta-nu error through the chain rule.
+        from scipy.optimize import curve_fit
+
+        a = 4.0 * math.log(2.0)
+        for k, fit, points, x, y, kernel, _, _ in self.oracle_sweeps():
+
+            def model(x, scale, center, photon_sq):
+                return scale * np.exp(-a * (x - center) ** 2 / (kernel**2 + photon_sq))
+
+            def jac(x, scale, center, photon_sq):
+                width_sq = kernel**2 + photon_sq
+                line = np.exp(-a * (x - center) ** 2 / width_sq)
+                d = (x - center) / width_sq
+                return np.column_stack([line, 2.0 * a * scale * line * d, a * scale * line * d * d])
+
+            peak = max(p.normalized_rate for p in points)
+            start = [fit.scale / peak, fit.center_ghz, fit.delta_nu_ghz**2]
+            _, pcov = curve_fit(model, x, y, p0=start, jac=jac, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+            oracle = math.sqrt(pcov[2, 2]) / (2.0 * fit.delta_nu_ghz)
+            assert fit.delta_nu_err_ghz == pytest.approx(oracle, rel=1e-6), k
 
 
 COUNTS_HEADER = "pump_power_mW,c_T,c_H,c_V,c_H_given_T,c_V_given_T,c_HV_given_T,acc_s_given_T"
@@ -493,6 +523,38 @@ class TestCsvIngestion:
         records, issues = read_counts_csv(str(path))
         assert len(records) == 2
         assert len(issues) == 1 and issues[0].startswith("line 3:")
+
+    def test_skipped_row_names_its_line_after_a_blank_line(self, tmp_path):
+        # The reader drops the blank line 3; the bad row is still line 5 of the file.
+        path = tmp_path / "counts.csv"
+        path.write_text(
+            COUNTS_HEADER + "\n"
+            "10,10000,5000,5000,70,65,0.5,10\n"
+            "\n"
+            "20,20000,10000,10000,140,130,2.0,20\n"
+            "oops,30000,15000,15000,210,195,4.5,30\n"
+            "40,40000,20000,20000,280,260,8.0,40\n"
+        )
+        records, issues = read_counts_csv(str(path))
+        assert [record.pump_power_mw for record in records] == [10.0, 20.0, 40.0]
+        assert len(issues) == 1 and issues[0].startswith("line 5:")
+
+    def test_sweep_row_error_names_its_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(
+            "detuning_GHz,normalized_coincidences\n"
+            "-2,0.3\n"
+            "\n"
+            "-1,0.7\n"
+            "0,oops\n"
+            "1,0.7\n"
+            "2,0.3\n"
+        )
+        result = CliRunner().invoke(
+            main, ["fit-spectrum", "--sweep-csv", str(path), "--filter-fwhm-ghz", "1.1"]
+        )
+        assert result.exit_code == 4
+        assert result.stderr.startswith("error: sweep CSV line 5: ")
 
     def test_missing_triple_columns_default_zero_with_warning(self, tmp_path):
         path = tmp_path / "counts.csv"

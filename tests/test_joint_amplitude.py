@@ -54,6 +54,26 @@ class TestJointAmplitude:
         expected = (1 + 4 + 0 + 2) * 0.5 * 0.25
         assert jta.norm_squared == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_norm_squared_allocates_no_matrix(self, kind):
+        n = 256
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=(n, n))
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=(n, n))
+        jta = JointAmplitude(values, TimeGrid(n, -1.3, 2.1), TimeGrid(n, 0.4, 3.3))
+        expected = math.fsum((values.real**2).ravel()) + math.fsum((values.imag**2).ravel())
+        expected *= jta.axis_i.step * jta.axis_s.step
+        assert jta.norm_squared == pytest.approx(expected, rel=1e-13)
+        tracemalloc.start()
+        try:
+            jta.norm_squared
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An n^2 float64 temporary would be 512 KiB.
+        assert peak <= 0.05 * n * n * np.dtype(float).itemsize
+
 
 class TestAssembly:
     def test_structure_against_direct_formula(self):
