@@ -100,19 +100,24 @@ def assemble_gated_jta(
     return JointAmplitude(values, grid_i, grid_s, TIME_DOMAIN)
 
 
-def _shifted_real_fft2(values: np.ndarray) -> np.ndarray:
-    """``fftshift(fft2(values))`` of a real matrix, from its half spectrum.
+def _shifted_real_fft2(values: np.ndarray, grid_i: TimeGrid, grid_s: TimeGrid) -> np.ndarray:
+    """``fftshift(fft2(values))`` of a real matrix, phased as in `to_frequency_domain`, from its half spectrum.
 
-    half[k, l] is the DFT at idler index k and signal index l <= n_s // 2;
-    the other signal indices follow from F(-nu) = conj F(nu).  Output row
-    r holds idler index (r - n_i // 2) mod n_i, whose mirror
-    (n_i // 2 - r) mod n_i runs down from n_i // 2 and then from n_i - 1.
+    half[k, l] is the DFT at idler index k and signal index l <= n_s // 2,
+    phased in place; as P(-nu) = conj P(nu), the other signal indices
+    follow from F(-nu) = conj F(nu).  Output row r holds idler index
+    (r - n_i // 2) mod n_i, whose mirror (n_i // 2 - r) mod n_i runs down
+    from n_i // 2 and then from n_i - 1; an even n_i's row 0 is its own
+    mirror, at -nu, so its negative half takes P^2 to turn conj P into P.
     The slices are views, so the output and the half spectrum are the
     only n_i x n_s-sized allocations.
     """
     n_i, n_s = values.shape
     m_i, m_s = n_i // 2, n_s // 2
     half = np.fft.fft(np.fft.rfft(values, axis=1), axis=0)
+    phase_i = np.exp(-2j * np.pi * np.fft.fftfreq(n_i, d=grid_i.step) * grid_i.t_min)
+    half *= phase_i[:, None]
+    half *= np.exp(-2j * np.pi * np.fft.rfftfreq(n_s, d=grid_s.step) * grid_s.t_min) * (grid_i.step * grid_s.step)
     shifted = np.empty((n_i, n_s), dtype=half.dtype)
     shifted[m_i:, m_s:] = half[: n_i - m_i, : n_s - m_s]
     shifted[:m_i, m_s:] = half[n_i - m_i :, : n_s - m_s]
@@ -120,6 +125,8 @@ def _shifted_real_fft2(values: np.ndarray) -> np.ndarray:
     np.conjugate(half, out=half)
     shifted[: m_i + 1, :m_s] = half[m_i::-1, m_s:0:-1]
     shifted[m_i + 1 :, :m_s] = half[:m_i:-1, m_s:0:-1]
+    if n_i % 2 == 0:
+        shifted[0, :m_s] *= phase_i[m_i] ** 2
     return shifted
 
 
@@ -131,12 +138,12 @@ def to_frequency_domain(jta: JointAmplitude) -> JointAmplitude:
     grid cell area as quadrature weight, so Parseval's identity holds
     exactly between the two quadrature norms.
 
-    Real values take the half spectrum: an ``rfft`` over the signal axis,
-    an ``fft`` over the idler axis, and the negative signal frequencies
-    from the mirror F(-nu) = conj F(nu), written straight into the
-    shifted output; the call peaks at about 1.5 n_i n_s complex values
-    beyond its input.  Complex values take ``fft2`` and a shifted copy,
-    which peaks at about 2.0.
+    Real values take the half spectrum: an ``rfft`` over the signal axis
+    and an ``fft`` over the idler axis, phased on that half alone, and the
+    negative signal frequencies from the mirror F(-nu) = conj F(nu),
+    written straight into the shifted output; the call peaks at about 1.5
+    n_i n_s complex values beyond its input.  Complex values take
+    ``fft2`` and a shifted copy, which peaks at about 2.0.
     """
     if jta.domain != TIME_DOMAIN:
         raise GridMismatchError("input joint amplitude must be in the time domain")
@@ -148,13 +155,13 @@ def to_frequency_domain(jta: JointAmplitude) -> JointAmplitude:
     nu_i = np.fft.fftshift(np.fft.fftfreq(n_i, d=dt_i))
     nu_s = np.fft.fftshift(np.fft.fftfreq(n_s, d=dt_s))
 
+    # The DFT assumes samples starting at t = 0; shift to the actual origins.
     if np.iscomplexobj(values):
         transformed = np.fft.fftshift(np.fft.fft2(values))
+        transformed *= np.exp(-2j * np.pi * nu_i * jta.axis_i.t_min)[:, None]
+        transformed *= np.exp(-2j * np.pi * nu_s * jta.axis_s.t_min) * (dt_i * dt_s)
     else:
-        transformed = _shifted_real_fft2(values)
-    # The DFT assumes samples starting at t = 0; shift to the actual origins.
-    transformed *= np.exp(-2j * np.pi * nu_i * jta.axis_i.t_min)[:, None]
-    transformed *= np.exp(-2j * np.pi * nu_s * jta.axis_s.t_min) * (dt_i * dt_s)
+        transformed = _shifted_real_fft2(values, jta.axis_i, jta.axis_s)
 
     grid_i = TimeGrid(n_i, float(nu_i[0]), float(nu_i[-1]))
     grid_s = TimeGrid(n_s, float(nu_s[0]), float(nu_s[-1]))

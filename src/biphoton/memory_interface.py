@@ -17,11 +17,12 @@ fundamental mode absorbs exactly this fraction of heralded photons.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,16 +61,16 @@ MAX_LATTICE_POINTS = 4096
 # 6.5 MB more peak RSS over the 37 MB of a process running the sweep.
 BATCH_BYTES = 1 << 20
 
-# Relative residual ||K^T K x - theta x|| <= POWER_TOLERANCE theta that ends the
-# power iteration of `_top_eigenvalue`: by Kato-Temple theta is then within
-# ||r||^2 / (theta - lambda_2), about 1e-26 lambda_1 on the acceptance
-# rectangle (lambda_2 <= 0.173 lambda_1), of lambda_1, while the residual's
-# own round-off, about sqrt(m) eps theta, stays below it up to m = 2048.
-POWER_TOLERANCE = 1e-13
+# Relative residual tau = POWER_TOLERANCE that ends the power iteration of
+# `_top_eigenvalue`, ||K^T K x - theta x|| <= tau theta: by Kato-Temple theta is
+# then within tau^2 / (1 - rho) of lambda_1, relative, rho = lambda_2 / lambda_1.
+# A cell that converges within POWER_STEPS has rho <= tau^(1/32) = 0.56, so that
+# is at most 2.3e-16, about one unit in the last place of eta_in.
+POWER_TOLERANCE = 1e-8
 
 # Power steps before a cell falls back to the SVD: the residual shrinks by
 # lambda_2 / lambda_1 per step, so 32 steps reach POWER_TOLERANCE for ratios
-# up to 1e-13^(1/32) = 0.39, against at most 0.173 (17 steps) on the
+# up to 1e-8^(1/32) = 0.56, against at most 0.173 (10 steps) on the
 # acceptance rectangle.
 POWER_STEPS = 32
 
@@ -297,7 +298,9 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     odd parity blocks of the value matrix J on the point's lattice, the
     top weight the power iteration's value that a sweep reports (see
     `_parity_spectra`); the lattice is bounded by ``MAX_LATTICE_POINTS``
-    before anything is allocated.
+    before anything is allocated.  A one-entry memo keyed by the point
+    (`_design_terms`) holds both kernels' terms, so both kernels at one
+    point cost one evaluation; a point that raises is not kept.
 
     Parameters
     ----------
@@ -312,7 +315,13 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     """
     if kernel not in ("gated", "ungated"):
         raise ParameterError(f"unknown kernel {kernel!r}")
+    report, ungated = _design_terms(point)
+    return report if kernel == "gated" else replace(report, eta_in=ungated / report.norm_reference)
 
+
+@functools.lru_cache(maxsize=1)
+def _design_terms(point: DesignPoint) -> tuple[DesignReport, float]:
+    """The gated report at a design point and the ungated numerator of eta_in, floats and tuples only."""
     t, step, blocks, weights = _parity_spectra([point])
     weights = weights[0]
     total = float(weights.sum())
@@ -320,15 +329,12 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
     purity = float((lambda_sq**2).sum())
 
     reference = _single_pulse_norm(point.gamma_hat)
-    if kernel == "gated":
-        numerator = float(weights[0])
-    else:
-        # <K| rho |K> = 2 ||K+ K_u||^2 for the even single-pulse signal fundamental.
-        projected = blocks[0, 0] @ _signal_fundamental(point.gamma_hat, t)
-        numerator = float(2.0 * (projected @ projected) * step**3)
+    # <K| rho |K> = 2 ||K+ K_u||^2 for the even single-pulse signal fundamental.
+    projected = blocks[0, 0] @ _signal_fundamental(point.gamma_hat, t)
+    ungated = float(2.0 * (projected @ projected) * step**3)
 
     return DesignReport(
-        eta_in=numerator / reference,
+        eta_in=float(weights[0]) / reference,
         purity=purity,
         schmidt_number=1.0 / purity,
         gating_loss=total / reference,
@@ -336,7 +342,7 @@ def evaluate_design(point: DesignPoint, kernel: str = "gated") -> DesignReport:
         lambda_sq_head=tuple(float(w) for w in lambda_sq[:8]),
         norm_gated=total,
         norm_reference=reference,
-    )
+    ), ungated
 
 
 def read_in_efficiency(point: DesignPoint, kernel: str = "gated") -> float:

@@ -64,10 +64,16 @@ def support(values: np.ndarray) -> tuple[slice, slice]:
     (eps the float64 machine epsilon).  By Weyl's inequality no singular
     value then moves by more than eps ||J||_F, which is inside the
     backward error of the SVD itself.
+
+    Raises :class:`ParameterError` when ||J||_F^2 is zero: there is no
+    norm to hold.
     """
-    mass = (values.conj() * values).real
+    mass = (values.conj() * values).real if np.iscomplexobj(values) else np.square(values)
     row_mass = mass.sum(axis=1)
-    budget = 0.25 * np.finfo(float).eps ** 2 * row_mass.sum()
+    total = row_mass.sum()
+    if not total > 0:
+        raise ParameterError("cannot decompose a joint amplitude with zero norm")
+    budget = 0.25 * np.finfo(float).eps ** 2 * total
     slices = []
     for line in (row_mass, mass.sum(axis=0)):
         head, tail = np.cumsum(line), np.cumsum(line[::-1])
@@ -171,8 +177,6 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
     values = np.asarray(jta.values)
-    if not values.any():
-        raise ParameterError("cannot decompose a joint amplitude with zero norm")
     if np.iscomplexobj(values) and not values.imag.any():
         values = values.real
 
@@ -198,14 +202,11 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     signal[:, cols] = vh[:k] / math.sqrt(dx_s)
     idler = np.zeros((k, values.shape[0]), dtype=u.dtype)
     idler[:, rows] = u[:, :k].T / math.sqrt(dx_i)
-    for mode in range(k):
-        top = np.argmax(np.abs(signal[mode]))
-        pivot = signal[mode][top]
-        magnitude = abs(pivot)
-        if magnitude > 0:
-            rotation = np.conj(pivot) / magnitude
-            signal[mode] = signal[mode] * rotation
-            idler[mode] = idler[mode] * np.conj(rotation)
+    pivot = np.take_along_axis(signal, np.argmax(np.abs(signal), axis=1)[:, None], axis=1)
+    magnitude = np.abs(pivot)
+    rotation = np.divide(np.conj(pivot), magnitude, out=np.ones_like(pivot), where=magnitude > 0)
+    signal *= rotation
+    idler *= np.conj(rotation)
 
     return SchmidtResult(
         singular_values=coeffs,

@@ -4,10 +4,15 @@ The acceptance tests append one PASS/FAIL line per criterion to
 ``ACCEPTANCE_LINES``; the hook below replays them in a dedicated section
 of the terminal summary so the verdicts are visible without ``-s``.
 ``half_maximum_width`` is the numerical width oracle that the closed-form
-spectrum widths are checked against.
+spectrum widths are checked against.  Every test starts with the one-entry
+memo of ``evaluate_design`` empty, so that no test sees the point an
+earlier one evaluated and test order cannot matter.
 """
 
 import numpy as np
+import pytest
+
+from biphoton import memory_interface
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -17,6 +22,11 @@ def record_criterion(number: int, ok: bool, detail: str) -> str:
     ACCEPTANCE_LINES.append(line)
     print(line)
     return line
+
+
+@pytest.fixture(autouse=True)
+def cold_design_memo():
+    memory_interface._design_terms.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

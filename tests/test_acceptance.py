@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from conftest import half_maximum_width, record_criterion
 from test_counting import synthetic_sweep
 from test_joint_amplitude import marginal_by_quadrature
-from test_memory_interface import lattice_step, svd_report
+from test_memory_interface import REFERENCE_DIR, lattice_step, svd_report
 
 from biphoton.cli import main as cli_main
 from biphoton.counting import (
@@ -38,6 +38,7 @@ from biphoton.memory_interface import (
     evaluate_design,
     read_in_efficiency,
     sweep_design_space,
+    write_efficiency_map_csv,
 )
 from biphoton.schmidt import schmidt_decompose
 from biphoton.signal_model import (
@@ -99,6 +100,13 @@ def test_criterion_1_design_space_landmarks(design_sweep):
         f"vs 0.9+/-0.15; gamma_opt(t>=10) in [{tail.min():.4f},{tail.max():.4f}] "
         f"vs [0.15,0.35]; largest increase {increases.max():+.2e} <= step {gamma_step:.4f}",
     )
+
+
+def test_acceptance_map_matches_reference_csv(design_sweep, tmp_path):
+    # The bytes the CLI's --output-csv writes for the acceptance rectangle.
+    written = tmp_path / "sweep_32x64.csv"
+    write_efficiency_map_csv(design_sweep[0], str(written))
+    assert written.read_bytes() == (REFERENCE_DIR / "design_sweep_32x64.csv").read_bytes()
 
 
 def test_criterion_2_experimental_design_point():

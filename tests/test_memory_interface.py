@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from biphoton.memory_interface import (
 )
 from biphoton.schmidt import schmidt_decompose
 from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid, train_amplitude
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def closed_form_top_weight(gamma_hat):
@@ -374,6 +379,43 @@ DESIGN_DRAWS = given(
 )
 
 
+def report_bits(report):
+    """Every float of a design report in hex, so that equal lists mean equal bits."""
+    fields = dataclasses.astuple(report)
+    return [float(v).hex() for value in fields for v in (value if isinstance(value, tuple) else (value,))]
+
+
+class TestDesignMemo:
+    @pytest.mark.parametrize("first, second", [("gated", "ungated"), ("ungated", "gated")])
+    def test_warm_report_equals_cold_report(self, first, second):
+        point = DesignPoint(11.0, 0.85)
+        cold = {}
+        for kernel in (first, second):
+            mi._design_terms.cache_clear()
+            cold[kernel] = report_bits(evaluate_design(point, kernel))
+        mi._design_terms.cache_clear()
+        warm_first = report_bits(evaluate_design(point, first))
+        warm_second = report_bits(evaluate_design(point, second))
+        assert mi._design_terms.cache_info().hits == 1
+        assert warm_first == cold[first]
+        assert warm_second == cold[second]
+        assert cold["gated"] != cold["ungated"]
+
+    def test_refused_point_raises_every_time(self):
+        evaluate_design(DesignPoint(4.0, 0.85))
+        refused = DesignPoint(1e-3, 0.85)  # t_hat below the lattice step: the gate holds no node
+        for _ in range(3):
+            with pytest.raises(ParameterError, match="holds no node"):
+                evaluate_design(refused)
+        assert mi._design_terms.cache_info().misses == 4
+
+    def test_memo_holds_one_entry(self):
+        for t_hat in (4.0, 5.0, 4.0, 4.0):
+            evaluate_design(DesignPoint(t_hat, 0.85))
+        info = mi._design_terms.cache_info()
+        assert (info.maxsize, info.currsize, info.hits, info.misses) == (1, 1, 1, 3)
+
+
 def folded_value_oracle(point):
     """Parity blocks K+- of J's upper idler rows, with J assembled on the full lattice."""
     values = assembled_jta(point).values
@@ -499,6 +541,27 @@ class TestTopEigenvalue:
         for cell in range(len(points)):
             alone = mi._top_eigenvalue(blocks[0, cell : cell + 1].copy(), start[cell : cell + 1].copy())
             assert alone[0] == stacked[cell]
+
+    def test_map_cells_match_svd_within_kato_temple(self):
+        # By Kato-Temple a relative residual tau = POWER_TOLERANCE puts the
+        # Rayleigh quotient within tau^2 / (1 - rho) of lambda_1, relative,
+        # rho = lambda_2 / lambda_1.  Every cell here converges within
+        # POWER_STEPS (rho <= 0.173, at t_hat = 2.32, gamma_hat = 2 of the
+        # 32x64 map), and any cell that does has rho <= tau^(1/32), so that
+        # term is at most 2.3e-16.  The rest is the round-off of theta and of
+        # the SVD's sigma_1^2, a few eps each on blocks of at most 96 rows
+        # (1.2e-15 at most over the whole 32x64 map), so 1e-14 holds both.
+        tau = mi.POWER_TOLERANCE
+        assert tau**2 / (1.0 - tau ** (1.0 / mi.POWER_STEPS)) <= 2.3e-16
+        four_by_eight = [(t, g) for t in np.linspace(2.0, 5.0, 4) for g in np.linspace(0.2, 1.6, 8)]
+        # Every sixth row from the second and every seventh column: 60 cells, the largest rho among them.
+        acceptance = [(t, g) for t in np.linspace(2.0, 12.0, 32)[1::6] for g in np.linspace(0.1, 2.0, 64)[::7]]
+        for t_hat, gamma_hat in four_by_eight + acceptance:
+            _, step, blocks, weights = mi._parity_spectra([DesignPoint(float(t_hat), float(gamma_hat))], odd=False)
+            singular = np.linalg.svd(blocks[0, 0], compute_uv=False)
+            assert (singular[1] / singular[0]) ** 2 <= tau ** (1.0 / mi.POWER_STEPS)
+            expected = singular[0] ** 2
+            assert abs(weights[0, 0] / step**2 - expected) <= 1e-14 * expected, (t_hat, gamma_hat)
 
     def test_near_degenerate_cell_falls_back_to_svd(self, monkeypatch):
         # K is the symmetric square root of K^T K.  A well-separated cell
@@ -669,6 +732,14 @@ class TestSerializationAndComposition:
         assert lines[0] == "t_hat,gamma_hat,eta_in"
         assert len(lines) == 1 + 6
         assert lines[1].startswith("2,0.4,")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_csv_matches_reference_map(self, tmp_path, workers):
+        # The bytes the CLI's --output-csv writes for bench/reference's 4x8 rectangle.
+        emap = sweep_design_space((2.0, 5.0), (0.2, 1.6), (4, 8), workers=workers)
+        written = tmp_path / "sweep.csv"
+        write_efficiency_map_csv(emap, str(written))
+        assert written.read_bytes() == (REFERENCE_DIR / "design_sweep_4x8.csv").read_bytes()
 
     def test_summary_payload(self):
         emap = sweep_design_space((2.0, 3.0), (0.4, 1.2), (2, 3))
