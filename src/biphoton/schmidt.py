@@ -10,8 +10,10 @@ then P = sum_k lambda_k^4 and the Schmidt number its reciprocal.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,24 +38,64 @@ class SchmidtResult:
 
     ``singular_values`` holds the full normalized spectrum (sum of
     squares equal to one); only the first ``len(signal_modes)`` mode
-    functions are stored.  Mode rows are orthonormal under the grid
+    functions are kept.  Mode rows are orthonormal under the grid
     quadrature and carry the phase convention that the largest-magnitude
     component of each signal mode is positive real.
+
+    The spectrum and the fields derived from it (``singular_values``,
+    ``purity``, ``schmidt_number``, ``tail_mass``) are computed by
+    `schmidt_decompose` itself, from singular values alone.
+    ``signal_modes`` and ``idler_modes`` are computed on their first read,
+    both at once, from a read-only copy of the weighted support block the
+    result holds; later reads return the same arrays.
     """
 
     singular_values: np.ndarray
-    signal_modes: np.ndarray
-    idler_modes: np.ndarray
     purity: float
     schmidt_number: float
     tail_mass: float
     axis_i: TimeGrid
     axis_s: TimeGrid
+    _block: np.ndarray = field(repr=False, compare=False)
+    _support: tuple[slice, slice] = field(repr=False, compare=False)
+    _mode_count: int = field(repr=False, compare=False)
+    _folded: bool = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = float((self.singular_values**2).sum())
         if abs(total - 1.0) > 1e-9:
             raise ParameterError("normalized Schmidt coefficients must have unit square sum")
+
+    @property
+    def signal_modes(self) -> np.ndarray:
+        return self._modes[0]
+
+    @property
+    def idler_modes(self) -> np.ndarray:
+        return self._modes[1]
+
+    @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray]:
+        # Without a lock (Python 3.12 dropped it) two threads may both run
+        # this on a first read; each gets the same arrays, bit for bit.
+        block, (rows, cols), k = self._block, self._support, self._mode_count
+        try:
+            if self._folded:
+                u, _, vh = _folded_svd(block, k)
+            else:
+                u, _, vh = np.linalg.svd(block, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
+        signal = np.zeros((k, self.axis_s.n_points), dtype=vh.dtype)
+        signal[:, cols] = vh[:k] / math.sqrt(self.axis_s.step)
+        idler = np.zeros((k, self.axis_i.n_points), dtype=u.dtype)
+        idler[:, rows] = u[:, :k].T / math.sqrt(self.axis_i.step)
+        pivot = np.take_along_axis(signal, np.argmax(np.abs(signal), axis=1)[:, None], axis=1)
+        magnitude = np.abs(pivot)
+        rotation = np.divide(np.conj(pivot), magnitude, out=np.ones_like(pivot), where=magnitude > 0)
+        signal *= rotation
+        idler *= np.conj(rotation)
+        return signal, idler
 
 
 def support(values: np.ndarray) -> tuple[slice, slice]:
@@ -108,8 +150,8 @@ def _lift(half: np.ndarray, size: int, sign: float) -> np.ndarray:
     return full
 
 
-def _folded_svd(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the symmetric part (B + EBE) / 2 of an m x n block B through its parity blocks.
+def _parity_blocks(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parity blocks K+ and K- of the symmetric part (B + EBE) / 2 of an m x n block B.
 
     As in `biphoton.memory_interface._parity_spectra`, the upper rows
     give K+- = top +- top reversed along columns, K+ over ceil(m/2) x
@@ -117,8 +159,7 @@ def _folded_svd(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     the middle row and column of K+ carry a factor 1/sqrt(2), since the
     middle node is its own mirror.  Their singular values together are
     those of the symmetric part (Law, Walmsley & Eberly, PRL 84, 5304
-    (2000)).  Returns the merged spectrum and the leading ``k`` vectors
-    lifted back to the block, u as ``(m, k)`` and vh as ``(k, n)``.
+    (2000)).
     """
     m, n = block.shape
     low_m, low_n = m // 2, n // 2
@@ -130,6 +171,17 @@ def _folded_svd(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.n
         plus[low_m] *= math.sqrt(0.5)
     if n % 2:
         plus[:, low_n] *= math.sqrt(0.5)
+    return plus, minus
+
+
+def _folded_svd(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of the symmetric part of an m x n block B through its `_parity_blocks`.
+
+    Returns the merged spectrum and the leading ``k`` vectors lifted back
+    to the block, u as ``(m, k)`` and vh as ``(k, n)``.
+    """
+    m, n = block.shape
+    plus, minus = _parity_blocks(block)
     u_plus, s_plus, vh_plus = np.linalg.svd(plus, full_matrices=False)
     u_minus, s_minus, vh_minus = np.linalg.svd(minus, full_matrices=False)
     s, order = merge_descending(s_plus, s_minus)
@@ -164,31 +216,54 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     jta:
         Joint amplitude in either domain.  Must have nonzero norm.
     k_max:
-        Number of mode functions to keep.  The Schmidt spectrum itself is
-        always computed in full, so ``purity`` never depends on ``k_max``.
+        Number of mode functions to keep, an integer of at least 1.  The
+        Schmidt spectrum itself is always computed in full, so ``purity``
+        never depends on ``k_max``.
 
-    The SVD runs on the `support` block of the values.  The spectrum is
-    padded with zeros to ``min(n_i, n_s)`` coefficients; at most
-    ``min(k_max, min(block.shape))`` modes are kept, zero outside the block.
-    A block that is centrosymmetric within ``FOLD_BUDGET`` (a symmetric
-    amplitude on a symmetric lattice) is decomposed through its two
-    half-size parity blocks (see `_folded_svd`); any other through one SVD.
+    The values are first scaled by the power of two that brings their
+    largest magnitude into [1/2, 1), which is exact and makes the result
+    independent of the amplitude's scale.  The SVD runs on the `support`
+    block of the values.  The spectrum is padded with zeros to
+    ``min(n_i, n_s)`` coefficients; at most ``min(k_max, min(block.shape))``
+    modes are kept, zero outside the block.  A block that is
+    centrosymmetric within ``FOLD_BUDGET`` (a symmetric amplitude on a
+    symmetric lattice) is decomposed through its two half-size parity
+    blocks (see `_folded_svd`); any other through one SVD.  This call takes
+    singular values alone; the singular vectors behind the mode functions
+    are computed on the first read of ``signal_modes`` or ``idler_modes``.
     """
+    if isinstance(k_max, bool):
+        raise ParameterError("k_max must be an integer, not a bool")
+    try:
+        k_max = operator.index(k_max)
+    except TypeError:
+        raise ParameterError(f"k_max must be an integer, not {k_max!r}") from None
     if k_max < 1:
         raise ParameterError("k_max must be at least 1")
     values = np.asarray(jta.values)
     if np.iscomplexobj(values) and not values.imag.any():
         values = values.real
 
-    dx_i = jta.axis_i.step
-    dx_s = jta.axis_s.step
+    # The squared magnitudes would underflow near 1e-162 and overflow near
+    # 1e154.  2**1023 is the largest finite power of two; a subnormal peak
+    # scaled by it is still far from underflow.  Real values find their
+    # peak without the temporary of np.abs.
+    if np.iscomplexobj(values):
+        peak = float(np.abs(values).max())
+    else:
+        peak = max(float(values.max()), -float(values.min()))
+    exponent = math.frexp(peak)[1]
+    if exponent:
+        values = values * math.ldexp(1.0, min(-exponent, 1023))
     rows, cols = support(values)
-    weighted = values[rows, cols] * math.sqrt(dx_i * dx_s)
+    weighted = values[rows, cols] * math.sqrt(jta.axis_i.step * jta.axis_s.step)
+    weighted.flags.writeable = False
+    folded = _is_centrosymmetric(weighted)
     try:
-        if _is_centrosymmetric(weighted):
-            u, s, vh = _folded_svd(weighted, min(k_max, min(weighted.shape)))
+        if folded:
+            s, _ = merge_descending(*(np.linalg.svd(b, compute_uv=False) for b in _parity_blocks(weighted)))
         else:
-            u, s, vh = np.linalg.svd(weighted, full_matrices=False)
+            s = np.linalg.svd(weighted, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
 
@@ -196,27 +271,18 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     coeffs = np.zeros(min(values.shape))
     coeffs[: s.size] = s / scale
     purity = float((coeffs**4).sum())
-
     k = min(k_max, s.size)
-    signal = np.zeros((k, values.shape[1]), dtype=vh.dtype)
-    signal[:, cols] = vh[:k] / math.sqrt(dx_s)
-    idler = np.zeros((k, values.shape[0]), dtype=u.dtype)
-    idler[:, rows] = u[:, :k].T / math.sqrt(dx_i)
-    pivot = np.take_along_axis(signal, np.argmax(np.abs(signal), axis=1)[:, None], axis=1)
-    magnitude = np.abs(pivot)
-    rotation = np.divide(np.conj(pivot), magnitude, out=np.ones_like(pivot), where=magnitude > 0)
-    signal *= rotation
-    idler *= np.conj(rotation)
-
     return SchmidtResult(
         singular_values=coeffs,
-        signal_modes=signal,
-        idler_modes=idler,
         purity=purity,
         schmidt_number=1.0 / purity,
         tail_mass=float((coeffs[k:] ** 2).sum()),
         axis_i=jta.axis_i,
         axis_s=jta.axis_s,
+        _block=weighted,
+        _support=(rows, cols),
+        _mode_count=k,
+        _folded=folded,
     )
 
 

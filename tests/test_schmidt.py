@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -346,3 +349,125 @@ class TestValidationAndSerialization:
     def test_bad_k_max_raises(self):
         with pytest.raises(ParameterError):
             schmidt_decompose(unit_grid_jta(np.eye(3)), k_max=0)
+
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, True, False, "2", None])
+    def test_non_integer_k_max_raises_at_the_call(self, k_max):
+        with pytest.raises(ParameterError, match="k_max"):
+            schmidt_decompose(unit_grid_jta(np.eye(3)), k_max=k_max)
+
+    @pytest.mark.parametrize("k_max", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_k_max_is_accepted(self, k_max):
+        result = schmidt_decompose(double_gaussian_jta(0.8), k_max=k_max)
+        assert result.signal_modes.shape[0] == 2
+        assert result.tail_mass == schmidt_decompose(double_gaussian_jta(0.8), k_max=2).tail_mass
+
+
+def scale_inputs():
+    # A symmetric amplitude on a symmetric lattice (the folded route) and a
+    # random matrix (one SVD).
+    rng = np.random.default_rng(29)
+    return {"folded": double_gaussian_jta(0.8), "unfolded": unit_grid_jta(rng.normal(size=(18, 25)))}
+
+
+class TestScale:
+    @pytest.mark.parametrize("name", ["folded", "unfolded"])
+    @pytest.mark.parametrize("factor", [1e-170, 1e-300, 1e200, 1e300])
+    def test_scaled_amplitude_gives_the_same_decomposition(self, name, factor):
+        # The scaled values are rounded, so the results agree to round-off;
+        # 1e-300 also makes the amplitude's far tails subnormal.
+        jta = scale_inputs()[name]
+        scaled = JointAmplitude(jta.values * factor, jta.axis_i, jta.axis_s)
+        expected = schmidt_decompose(jta, k_max=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = schmidt_decompose(scaled, k_max=4)
+            signal, idler = result.signal_modes, result.idler_modes
+        assert np.abs(result.singular_values - expected.singular_values).max() <= 1e-14
+        assert result.purity == pytest.approx(expected.purity, rel=1e-13, abs=0.0)
+        assert result.tail_mass == pytest.approx(expected.tail_mass, rel=1e-9, abs=1e-15)
+        for k in np.flatnonzero(expected.singular_values[:4] ** 2 >= 1e-6):
+            assert np.abs(signal[k] - expected.signal_modes[k]).max() <= 1e-9
+            assert np.abs(idler[k] - expected.idler_modes[k]).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ["folded", "unfolded"])
+    @pytest.mark.parametrize("exponent", [-360, 1000])
+    def test_power_of_two_scale_is_exact(self, name, exponent):
+        # The folded input's smallest entry is 2e-196, so no scaled entry is
+        # subnormal and the scaled values are exact.
+        jta = scale_inputs()[name]
+        scaled = JointAmplitude(np.ldexp(jta.values, exponent), jta.axis_i, jta.axis_s)
+        expected, result = schmidt_decompose(jta, k_max=4), schmidt_decompose(scaled, k_max=4)
+        assert np.array_equal(result.singular_values, expected.singular_values)
+        assert result.purity == expected.purity
+        assert np.array_equal(result.signal_modes, expected.signal_modes)
+        assert np.array_equal(result.idler_modes, expected.idler_modes)
+
+
+class TestLazyModes:
+    def svd_calls(self, monkeypatch):
+        # The compute_uv flag of every np.linalg.svd call from now on.
+        calls = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return calls
+
+    @pytest.mark.parametrize("name, vector_calls", [("folded", 2), ("unfolded", 1)])
+    def test_decompose_takes_singular_values_alone(self, monkeypatch, name, vector_calls):
+        jta = scale_inputs()[name]
+        calls = self.svd_calls(monkeypatch)
+        schmidt_decompose(jta, k_max=4)
+        assert calls == [False] * vector_calls
+
+    @pytest.mark.parametrize("name, vector_calls", [("folded", 2), ("unfolded", 1)])
+    @pytest.mark.parametrize("first", ["signal_modes", "idler_modes", "fundamental_kernel"])
+    def test_first_read_decomposes_once(self, monkeypatch, name, vector_calls, first):
+        # The folded route's vector decomposition is one SVD per parity block.
+        jta = scale_inputs()[name]
+        result = schmidt_decompose(jta, k_max=4)
+        calls = self.svd_calls(monkeypatch)
+        if first == "fundamental_kernel":
+            fundamental_kernel(result)
+        else:
+            getattr(result, first)
+        assert calls == [True] * vector_calls
+        result.signal_modes, result.idler_modes, fundamental_kernel(result)
+        assert len(calls) == vector_calls
+
+    def test_modes_ignore_later_writes_to_the_amplitude(self):
+        jta = double_gaussian_jta(0.8)
+        expected = schmidt_decompose(JointAmplitude(jta.values.copy(), jta.axis_i, jta.axis_s), k_max=4)
+        result = schmidt_decompose(jta, k_max=4)
+        jta.values[:] = np.random.default_rng(31).normal(size=jta.values.shape)
+        assert np.array_equal(result.signal_modes, expected.signal_modes)
+        assert np.array_equal(result.idler_modes, expected.idler_modes)
+
+    def test_concurrent_first_reads_agree(self):
+        # Four threads read the modes of one fresh result at once, with a
+        # short switch interval so that several may run the decomposition.
+        jta = double_gaussian_jta(0.8)
+        expected = schmidt_decompose(jta, k_max=8).signal_modes
+        result = schmidt_decompose(jta, k_max=8)
+        barrier = threading.Barrier(4)
+        modes = [None] * 4
+
+        def read(slot):
+            barrier.wait(timeout=60)
+            modes[slot] = result.signal_modes
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(np.array_equal(mode, expected) for mode in modes)
