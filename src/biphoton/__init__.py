@@ -25,7 +25,6 @@ from .counting import (
 )
 from .errors import (
     BiphotonError,
-    CoverageWarning,
     DecompositionError,
     DegenerateModeWarning,
     FitConvergenceError,
@@ -56,11 +55,9 @@ from .schmidt import (
 from .signal_model import (
     GaussianFilterSpec,
     PulseTrainSpec,
-    TimeGateSpec,
     TimeGrid,
     filter_fwhm_from_gamma,
     gamma_from_filter_fwhm,
-    sample_gate,
     sigma_p_from_pump_fwhm,
 )
 

@@ -414,7 +414,7 @@ def _read_csv(
     or a file without a parsed row raises :class:`ParameterError`.
     """
     items, issues = [], []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:  # Excel's "CSV UTF-8" starts with a BOM
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [col for col in required if col not in header]

@@ -21,9 +21,5 @@ class FitConvergenceError(BiphotonError, RuntimeError):
     """A nonlinear least-squares fit did not converge."""
 
 
-class CoverageWarning(UserWarning):
-    """The sampling window does not fully cover the requested structure."""
-
-
 class DegenerateModeWarning(UserWarning):
     """Leading Schmidt coefficients are numerically degenerate."""

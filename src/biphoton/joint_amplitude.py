@@ -7,7 +7,8 @@ idler time to the signal time:
     f(t_i, t_s) = G(t_i) G(t_s) * T(t_i - t_s) * Omega_tot(t_s)
 
 where ``T`` is the filter time response, ``Omega_tot`` the pump pulse
-train and ``G`` an optional rectangular time gate.  Rows of the value
+train and ``G`` the rectangular time gate.  The grids are the gate: they
+span the time bin, so ``G`` is one on every node.  Rows of the value
 matrix run over the idler axis, columns over the signal axis.
 """
 
@@ -23,12 +24,9 @@ from .formatting import write_csv
 from .signal_model import (
     GaussianFilterSpec,
     PulseTrainSpec,
-    TimeGateSpec,
     TimeGrid,
     _require_positive,
-    sample_gate,
     train_amplitude,
-    warn_if_train_cropped,
 )
 
 TIME_DOMAIN = "time"
@@ -76,15 +74,14 @@ class JointAmplitude:
 def assemble_gated_jta(
     train: PulseTrainSpec,
     filt: GaussianFilterSpec,
-    gates: TimeGateSpec | None = None,
     *,
     grid_i: TimeGrid,
     grid_s: TimeGrid,
 ) -> JointAmplitude:
-    """Assemble the (optionally gated) joint temporal amplitude on the idler and signal grids.
+    """Assemble the joint temporal amplitude on the idler and signal grids.
 
-    ``gates=None`` leaves the state ungated.  Gated assembly skips the
-    train-coverage warning because the gate crops the train on purpose.
+    The grids are the gate: the amplitude is gated to the time bin they
+    span, and grids that cover the train's support give the ungated state.
     """
     values = np.subtract.outer(grid_i.points, grid_s.points)
     values *= filt.gamma
@@ -92,11 +89,6 @@ def assemble_gated_jta(
     np.negative(values, out=values)
     np.exp(values, out=values)
     values *= train_amplitude(train, grid_s.points)
-    if gates is None:
-        warn_if_train_cropped(train, grid_s)
-    else:
-        values *= sample_gate(gates, grid_s)
-        values *= sample_gate(gates, grid_i)[:, None]
     return JointAmplitude(values, grid_i, grid_s, TIME_DOMAIN)
 
 

@@ -46,19 +46,21 @@ SUPPORT_HALF_WIDTH = 5.0
 # process evaluating it stays under 160 MB; a sweep builds the even block
 # alone, one cell per stack at this size.  The step rule admits the cap
 # itself, at (256, 0.04): there `efficiency` peaks at 130 MB RSS and takes
-# 9.4 s, a one-cell `sweep` 63 MB and 0.3 s; at (12, 200), n = 4020,
-# `efficiency` peaks at 126 MB and takes 7.0 s (one BLAS thread, 2-CPU
-# host).  The gated acceptance rectangle needs at most 192 points; t_hat =
-# 1e4 at gamma_hat = 0.01 would ask for 16160.
+# 9.3 s, a one-cell `sweep` 63 MB and 0.3 s; at (12, 200), n = 4020,
+# `efficiency` peaks at 126 MB and takes 7.0 s (fresh processes, medians of
+# 3, OPENBLAS_NUM_THREADS=1, 2-CPU Intel Xeon host).  The gated acceptance
+# rectangle needs at most 192 points; t_hat = 1e4 at gamma_hat = 0.01
+# would ask for 16160.
 MAX_LATTICE_POINTS = 4096
 
 # Byte budget of one stack of (n/2) x (n/2) even blocks in a sweep batch.
-# With the power iteration of `_top_eigenvalue` the 32x64 sweep takes 0.19 /
-# 0.11 / 0.11 s serially and 0.25 / 0.11 / 0.09 s on a pool of two at 256 KB
-# / 1 MB / 4 MB (medians of 15, shuffled, one BLAS thread, 2-CPU host):
-# smaller stacks pay more Python steps per cell.  Each worker holds one
-# stack, so 4 MB (or 8 MB, a tie) would cut the pool's time by a fifth for
-# 6.5 MB more peak RSS over the 37 MB of a process running the sweep.
+# With the power iteration of `_top_eigenvalue` at POWER_TOLERANCE the 32x64
+# sweep takes 139-142 / 79-89 / 75-80 ms serially and 172-174 / 71-73 /
+# 59-64 ms on a pool of two at 256 KB / 1 MB / 4 MB (medians of 25 shuffled
+# rounds in each of two sets, OPENBLAS_NUM_THREADS=1, 2-CPU Intel Xeon
+# host): smaller stacks pay more Python steps per cell.  Each worker holds
+# one stack, so 4 MB would cut the pool's time by 12-17 % for 6.4 MB more
+# peak RSS over the 36 MB of a process running the sweep on the pool.
 BATCH_BYTES = 1 << 20
 
 # Relative residual tau = POWER_TOLERANCE that ends the power iteration of

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageWarning, ParameterError
+from .errors import ParameterError
 
 SQRT_2LN2 = math.sqrt(2.0 * math.log(2.0))
 SQRT_LN2 = math.sqrt(math.log(2.0))
@@ -80,15 +79,6 @@ class PulseTrainSpec:
         if self.n_side_pulses < 0:
             raise ParameterError("n_side_pulses must be non-negative")
 
-    @property
-    def span(self) -> float:
-        """Half-width of the window carrying the train's amplitude support.
-
-        Runs out to the outermost pulse centre plus five pump widths,
-        beyond which the amplitude is below exp(-25).
-        """
-        return self.n_side_pulses * self.period + 5.0 * self.sigma_p
-
 
 @dataclass(frozen=True)
 class GaussianFilterSpec:
@@ -112,19 +102,6 @@ class GaussianFilterSpec:
         return cls(gamma=gamma_from_filter_fwhm(fwhm))
 
 
-@dataclass(frozen=True)
-class TimeGateSpec:
-    """Rectangular time bin centred at zero, typically one pulse period wide.
-
-    The gate is closed: samples exactly on the boundary are kept.
-    """
-
-    width: float
-
-    def __post_init__(self) -> None:
-        _require_positive("width", self.width)
-
-
 def train_amplitude(spec: PulseTrainSpec, t: np.ndarray) -> np.ndarray:
     """Amplitude of the pump pulse train at the times ``t``.
 
@@ -143,22 +120,6 @@ def train_amplitude(spec: PulseTrainSpec, t: np.ndarray) -> np.ndarray:
         centers = np.arange(int(first), int(last) + 1) * spec.period
         terms = np.exp(-(((t[None, :] - centers[:, None]) / spec.sigma_p) ** 2))
     return terms.sum(axis=0)
-
-
-def warn_if_train_cropped(spec: PulseTrainSpec, grid: TimeGrid) -> None:
-    """Emit a :class:`CoverageWarning` when ``grid`` does not span the train window ``[-span, span]``."""
-    if grid.t_min > -spec.span or grid.t_max < spec.span:
-        warnings.warn(
-            "grid does not span the full pulse train window; the sampled "
-            "train is truncated",
-            CoverageWarning,
-            stacklevel=3,
-        )
-
-
-def sample_gate(spec: TimeGateSpec, grid: TimeGrid) -> np.ndarray:
-    """Gate window on ``grid``: 1.0 inside the closed bin, 0.0 outside."""
-    return np.where(np.abs(grid.points) <= 0.5 * spec.width, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@ The acceptance tests append one PASS/FAIL line per criterion to
 ``ACCEPTANCE_LINES``; the hook below replays them in a dedicated section
 of the terminal summary so the verdicts are visible without ``-s``.
 ``half_maximum_width`` is the numerical width oracle that the closed-form
-spectrum widths are checked against.  Every test starts with the one-entry
-memo of ``evaluate_design`` empty, so that no test sees the point an
-earlier one evaluated and test order cannot matter.
+spectrum widths are checked against, and ``midpoint_grid`` the symmetric
+lattice that the test assemblies are gated to.  Every test starts with
+the one-entry memo of ``evaluate_design`` empty, so that no test sees
+the point an earlier one evaluated and test order cannot matter.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from biphoton import memory_interface
+from biphoton.signal_model import TimeGrid
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -22,6 +26,13 @@ def record_criterion(number: int, ok: bool, detail: str) -> str:
     ACCEPTANCE_LINES.append(line)
     print(line)
     return line
+
+
+def midpoint_grid(half_width, step):
+    """Nodes (j + 1/2) step, symmetric about zero, out to ``half_width`` and at least one per side."""
+    count = max(1, math.ceil(half_width / step - 0.5))
+    edge = (count - 0.5) * step
+    return TimeGrid(2 * count, -edge, edge)
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import half_maximum_width, record_criterion
+from conftest import half_maximum_width, midpoint_grid, record_criterion
 from test_counting import synthetic_sweep
 from test_joint_amplitude import marginal_by_quadrature
 from test_memory_interface import REFERENCE_DIR, lattice_step, svd_report
@@ -44,8 +44,6 @@ from biphoton.schmidt import schmidt_decompose
 from biphoton.signal_model import (
     GaussianFilterSpec,
     PulseTrainSpec,
-    TimeGateSpec,
-    TimeGrid,
     gamma_from_filter_fwhm,
     sigma_p_from_pump_fwhm,
 )
@@ -58,12 +56,6 @@ EXPERIMENT = DesignPoint(t_hat=11.0, gamma_hat=0.85)
 def report(number, ok, detail):
     line = record_criterion(number, ok, detail)
     assert ok, line
-
-
-def midpoint_grid(half_width, step):
-    count = max(1, math.ceil(half_width / step - 0.5))
-    edge = (count - 0.5) * step
-    return TimeGrid(2 * count, -edge, edge)
 
 
 def single_pulse_jta(sigma_p, gamma, points_per_sigma=16):
@@ -259,14 +251,12 @@ def test_criterion_6_spectral_fit_round_trip():
 def test_criterion_7_numerical_hygiene(design_sweep):
     emap, _ = design_sweep
 
-    # Parseval and Schmidt-weight closure on the gated experimental JTA.
+    # Parseval and Schmidt-weight closure on the experimental JTA, gated by its grid.
     step = 1.0 / 16.0
-    half = EXPERIMENT.t_hat / 2.0
-    grid = midpoint_grid(half, step)
+    grid = midpoint_grid(EXPERIMENT.t_hat / 2.0, step)
     train = PulseTrainSpec(sigma_p=1.0, period=EXPERIMENT.t_hat)
     filt = GaussianFilterSpec(gamma=EXPERIMENT.gamma_hat)
-    gates = TimeGateSpec(width=EXPERIMENT.t_hat)
-    jta = assemble_gated_jta(train, filt, gates=gates, grid_i=grid, grid_s=grid)
+    jta = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
     parseval = abs(to_frequency_domain(jta).norm_squared - jta.norm_squared) / jta.norm_squared
     decomposition = schmidt_decompose(jta, k_max=8)
     weight_closure = abs(float(np.sum(decomposition.singular_values**2)) - 1.0)

@@ -444,6 +444,16 @@ class TestAnalyzeCommand:
         assert payload["fits"]["c_T"]["slope"] == pytest.approx(1000.0, rel=1e-6)
         assert payload["skipped_rows"] == []
 
+    def test_excel_utf8_bom_with_crlf_reads_as_plain(self, runner, tmp_path):
+        # Excel's "CSV UTF-8" export: a byte-order mark, then CRLF line ends.
+        excel, plain = tmp_path / "excel.csv", tmp_path / "plain.csv"
+        excel.write_bytes(b"\xef\xbb\xbf" + COUNTS_BODY.replace("\n", "\r\n").encode())
+        plain.write_text(COUNTS_BODY)
+        payload = run_json(runner, self.analyze_args(excel))
+        reference = run_json(runner, self.analyze_args(plain))
+        assert payload["skipped_rows"] == []
+        assert {**payload, "config": None} == {**reference, "config": None}
+
     def test_missing_file_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, self.analyze_args(tmp_path / "absent.csv"))
         assert result.exit_code == 3
@@ -564,6 +574,15 @@ class TestFitSpectrumCommand:
         assert payload["delta_nu_GHz"] == pytest.approx(1.78, rel=0.01)
         assert not payload["resolution_limited"]
         assert payload["n_points"] == 25
+
+    def test_excel_utf8_bom_with_crlf_reads_as_plain(self, runner, tmp_path):
+        # Excel's "CSV UTF-8" export: a byte-order mark, then CRLF line ends.
+        plain, excel = tmp_path / "plain.csv", tmp_path / "excel.csv"
+        self.write_sweep(plain)
+        excel.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        payload = run_json(runner, ["fit-spectrum", "--sweep-csv", str(excel), "--filter-fwhm-ghz", "1.1"])
+        reference = run_json(runner, ["fit-spectrum", "--sweep-csv", str(plain), "--filter-fwhm-ghz", "1.1"])
+        assert {**payload, "config": None} == {**reference, "config": None}
 
     def test_too_few_points_is_numerical_error(self, runner, tmp_path):
         sweep_path = tmp_path / "sweep.csv"

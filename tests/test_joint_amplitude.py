@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import half_maximum_width
+from conftest import half_maximum_width, midpoint_grid
 
 from biphoton.errors import GridMismatchError, ParameterError
 from biphoton.joint_amplitude import (
@@ -21,7 +21,6 @@ from biphoton.joint_amplitude import (
 from biphoton.signal_model import (
     GaussianFilterSpec,
     PulseTrainSpec,
-    TimeGateSpec,
     TimeGrid,
 )
 
@@ -79,50 +78,29 @@ class TestAssembly:
     def test_structure_against_direct_formula(self):
         train = PulseTrainSpec(sigma_p=0.9, period=1.7, n_side_pulses=2)
         filt = GaussianFilterSpec(gamma=0.6)
-        gate = TimeGateSpec(width=1.7)
-        grid = TimeGrid(21, -2.5, 2.5)
-        jta = assemble_gated_jta(train, filt, gate, grid_i=grid, grid_s=grid)
+        grid = midpoint_grid(0.85, 0.085)  # the one-period gate, 20 nodes
+        jta = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
 
         t = grid.points
-        for i in (0, 7, 13, 20):
-            for s in (0, 3, 11, 20):
+        for i in (0, 7, 13, 19):
+            for s in (0, 3, 11, 19):
                 omega = sum(
                     math.exp(-(((t[s] - j * 1.7) / 0.9) ** 2)) for j in range(-2, 3)
                 )
                 resp = math.exp(-((0.6 * (t[i] - t[s])) ** 2))
-                g = (1.0 if abs(t[i]) <= 0.85 else 0.0) * (1.0 if abs(t[s]) <= 0.85 else 0.0)
-                assert jta.values[i, s] == pytest.approx(g * resp * omega, abs=1e-15)
-
-    def test_gate_zeroes_outside_bin(self):
-        train = PulseTrainSpec(sigma_p=1.0, period=2.0)
-        filt = GaussianFilterSpec(gamma=0.5)
-        grid = TimeGrid(81, -4.0, 4.0)
-        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=2.0), grid_i=grid, grid_s=grid)
-        outside = np.abs(grid.points) > 1.0 + 1e-12
-        assert np.abs(jta.values[outside, :]).max() == 0.0
-        assert np.abs(jta.values[:, outside]).max() == 0.0
-
-    def test_wide_gates_equal_ungated_for_single_pulse(self):
-        train = PulseTrainSpec(sigma_p=1.0, period=2.0, n_side_pulses=0)
-        filt = GaussianFilterSpec(gamma=0.5)
-        half = 5.0 + 5.0 / filt.gamma
-        grid = TimeGrid(301, -half, half)
-        wide_gate = TimeGateSpec(width=10.0 + 10.0 / filt.gamma + 4.0)
-        gated = assemble_gated_jta(train, filt, wide_gate, grid_i=grid, grid_s=grid)
-        ungated = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
-        diff = np.linalg.norm(gated.values - ungated.values)
-        assert diff <= 1e-12 * np.linalg.norm(ungated.values)
+                assert jta.values[i, s] == pytest.approx(resp * omega, abs=1e-15)
 
     def test_tight_gates_remove_big_norm_fraction(self):
         # Narrowband filter at short period: the filter response spreads the
         # amplitude across many bins, so one bin holds well under 95 percent.
+        # The wide grid holds the outermost pulse centre plus five pump
+        # widths, and the filter's reach beyond that.
         train = PulseTrainSpec(sigma_p=1.0, period=2.0, n_side_pulses=3)
         filt = GaussianFilterSpec(gamma=0.2)
-        half = train.span + 5.0 / filt.gamma
-        n = int(math.ceil(2 * half * 16)) + 1
-        grid = TimeGrid(n, -half, half)
-        gated = assemble_gated_jta(train, filt, TimeGateSpec(width=2.0), grid_i=grid, grid_s=grid)
-        ungated = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
+        wide = midpoint_grid(11.0 + 5.0 / filt.gamma, 1.0 / 16.0)
+        gate = midpoint_grid(1.0, 1.0 / 16.0)
+        gated = assemble_gated_jta(train, filt, grid_i=gate, grid_s=gate)
+        ungated = assemble_gated_jta(train, filt, grid_i=wide, grid_s=wide)
         removed = 1.0 - gated.norm_squared / ungated.norm_squared
         assert removed > 0.05
 
@@ -238,7 +216,7 @@ class TestFrequencyDomain:
         period = 4.0
         train = PulseTrainSpec(sigma_p=1.0, period=period, n_side_pulses=3)
         filt = GaussianFilterSpec(gamma=1e-3)
-        half = train.span
+        half = 17.0  # the outermost pulse centre plus five pump widths
         n = 1 << 10
         grid = TimeGrid(n, -half, half)
         spectral = to_frequency_domain(assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import biphoton.joint_amplitude as joint_amplitude
+from conftest import midpoint_grid
+
 import biphoton.memory_interface as mi
 from biphoton.errors import ParameterError
 from biphoton.joint_amplitude import assemble_gated_jta
@@ -22,7 +23,7 @@ from biphoton.memory_interface import (
     write_efficiency_map_csv,
 )
 from biphoton.schmidt import schmidt_decompose
-from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid, train_amplitude
+from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, train_amplitude
 
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -34,12 +35,6 @@ def closed_form_top_weight(gamma_hat):
     # P = 1 / sqrt(1 + gamma_hat^2).
     purity = 1.0 / math.sqrt(1.0 + gamma_hat**2)
     return 2.0 * purity / (1.0 + purity)
-
-
-def midpoint_grid(half_width, step):
-    count = max(1, math.ceil(half_width / step - 0.5))
-    edge = (count - 0.5) * step
-    return TimeGrid(2 * count, -edge, edge)
 
 
 def reference_norm_lattice_sum(gamma_hat, step):
@@ -62,13 +57,13 @@ def lattice_step(point):
 
 
 def assembled_jta(point, step=None):
-    """The point's amplitude assembled on its full lattice (the library's step by default), gated by a mask."""
+    """The point's amplitude assembled on its full lattice (the library's step by default), which is its gate."""
     step = lattice_step(point) if step is None else step
     local = 5.0 * (1.0 + 1.0 / point.gamma_hat)
     train = PulseTrainSpec(sigma_p=1.0, period=point.t_hat, n_side_pulses=point.n_side_pulses)
     filt = GaussianFilterSpec(gamma=point.gamma_hat)
     grid = midpoint_grid(min(0.5 * point.t_hat, local), step)
-    return assemble_gated_jta(train, filt, TimeGateSpec(width=point.t_hat), grid_i=grid, grid_s=grid)
+    return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
 
 
 def ungated_kernel_eta_by_svd(point, step=None):
@@ -200,26 +195,6 @@ class TestMidpointLattice:
         assert np.isnan(emap.eta_in[0]).all() and np.isfinite(emap.eta_in[1]).all()
         assert [(t, g) for t, g, _ in emap.failures] == [(0.04, 0.5), (0.04, 0.9)]
         assert all("is below the lattice step" in message for _, _, message in emap.failures)
-
-    def test_design_evaluation_applies_no_gate_mask(self, monkeypatch):
-        # The gated lattice lies inside the gate, so a mask would only multiply by one.
-        calls = []
-        real = joint_amplitude.sample_gate
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(joint_amplitude, "sample_gate", spy)
-        evaluate_design(DesignPoint(t_hat=2.0, gamma_hat=0.9))
-        evaluate_design(DesignPoint(t_hat=0.1, gamma_hat=0.9), kernel="ungated")
-        sweep_design_space((2.0, 4.0), (0.3, 1.5), (2, 3))
-        assert calls == []
-        # assemble_gated_jta still masks, so the spy does see calls.
-        grid = TimeGrid(16, -1.0, 1.0)
-        train, filt = PulseTrainSpec(1.0, 2.0), GaussianFilterSpec(0.9)
-        assemble_gated_jta(train, filt, TimeGateSpec(2.0), grid_i=grid, grid_s=grid)
-        assert len(calls) == 2
 
     def test_reference_norm_matches_closed_form(self):
         for gamma_hat in (0.3, 0.85, 2.0):

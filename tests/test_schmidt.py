@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from biphoton.errors import DegenerateModeWarning, ParameterError
 from biphoton.joint_amplitude import JointAmplitude, assemble_gated_jta, to_frequency_domain
 from biphoton.schmidt import FOLD_BUDGET, fundamental_kernel, schmidt_decompose, support
-from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGateSpec, TimeGrid
+from biphoton.signal_model import GaussianFilterSpec, PulseTrainSpec, TimeGrid
 
 
 def closed_form_purity(gamma_hat):
@@ -41,7 +41,7 @@ def padded_single_pulse_jta(sigma_p, gamma_hat, padding, points_per_sigma=8):
     return assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
 
 
-def midpoint_grid(half, step):
+def midpoint_grid_of_count(half, step):
     # 2 * half nodes (j + 1/2) step, |j| < half: a lattice symmetric about zero.
     edge = (half - 0.5) * step
     return TimeGrid(2 * half, -edge, edge)
@@ -187,7 +187,7 @@ class TestModes:
         # kappa = gamma_hat^2 / alpha (idler), and lambda_k^2 = (1 - mu^2) mu^(2k)
         # with mu^2 = (alpha - 1) / (alpha + 1).  Midpoint lattice, step 1/32.
         step = 1.0 / 32.0
-        grid = midpoint_grid(math.ceil(5.0 * (1.0 + 1.0 / gamma_hat) / step - 0.5), step)
+        grid = midpoint_grid_of_count(math.ceil(5.0 * (1.0 + 1.0 / gamma_hat) / step - 0.5), step)
         train = PulseTrainSpec(sigma_p=1.0, period=10.0, n_side_pulses=0)
         jta = assemble_gated_jta(train, GaussianFilterSpec(gamma=gamma_hat), grid_i=grid, grid_s=grid)
         result = schmidt_decompose(jta, k_max=4)
@@ -300,7 +300,7 @@ class TestParityFold:
         assert all(a <= -(-m // 2) and b <= -(-n // 2) for a, b in shapes), (shapes, m, n)
 
     def test_even_single_pulse_matches_full_svd(self, monkeypatch):
-        grid = midpoint_grid(96, 1.0 / 16.0)
+        grid = midpoint_grid_of_count(96, 1.0 / 16.0)
         train = PulseTrainSpec(sigma_p=1.0, period=10.0, n_side_pulses=0)
         jta = assemble_gated_jta(train, GaussianFilterSpec(gamma=0.8), grid_i=grid, grid_s=grid)
         result, shapes = self.decompose_recording_svd(monkeypatch, jta, 8)
@@ -308,12 +308,13 @@ class TestParityFold:
         assert_matches_full_svd(jta, result, k_max=8)
 
     def test_gated_train_with_centred_gate_matches_full_svd(self, monkeypatch):
-        # M = 3 side pulses, period 4: the gate edges +-2 fall between nodes,
-        # and the side pulses' tails reach into the gate.
-        grid = midpoint_grid(320, 1.0 / 16.0)
+        # M = 3 side pulses, period 4: the grid is the gate [-2, 2], its
+        # outermost nodes half a step inside the edges, and the side pulses'
+        # tails reach into it.
+        grid = midpoint_grid_of_count(32, 1.0 / 16.0)
         train = PulseTrainSpec(sigma_p=1.0, period=4.0, n_side_pulses=3)
         filt = GaussianFilterSpec(gamma=0.6)
-        jta = assemble_gated_jta(train, filt, TimeGateSpec(width=4.0), grid_i=grid, grid_s=grid)
+        jta = assemble_gated_jta(train, filt, grid_i=grid, grid_s=grid)
         result, shapes = self.decompose_recording_svd(monkeypatch, jta, 8)
         self.assert_folded(jta, shapes)
         assert_matches_full_svd(jta, result, k_max=8)

@@ -1,23 +1,19 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from conftest import half_maximum_width
 
-from biphoton.errors import CoverageWarning, ParameterError
+from biphoton.errors import ParameterError
 from biphoton.signal_model import (
     GaussianFilterSpec,
     PulseTrainSpec,
-    TimeGateSpec,
     TimeGrid,
     filter_fwhm_from_gamma,
     gamma_from_filter_fwhm,
-    sample_gate,
     sigma_p_from_pump_fwhm,
     train_amplitude,
-    warn_if_train_cropped,
 )
 
 
@@ -44,24 +40,13 @@ class TestSpecs:
             PulseTrainSpec(sigma_p=1.0, period=-2.0)
         with pytest.raises(ParameterError):
             PulseTrainSpec(sigma_p=1.0, period=1.0, n_side_pulses=-1)
-        # An integer beyond float range is refused before span overflows.
+        # An integer beyond float range is refused at construction.
         with pytest.raises(ParameterError, match="n_side_pulses must convert to a finite float"):
             PulseTrainSpec(1.0, 4.0, 10**400)
 
     def test_filter_fwhm_properties(self):
         filt = GaussianFilterSpec.from_amplitude_fwhm(1.4)
         assert filt.amplitude_fwhm == pytest.approx(1.4, rel=1e-12)
-
-    def test_gate_bounds(self):
-        grid = TimeGrid(9, -1.5, 2.5)  # nodes every 0.5
-        values = sample_gate(TimeGateSpec(width=2.0), grid)
-        assert np.array_equal(values, (np.abs(grid.points) <= 1.0).astype(float))
-        assert values.sum() == 5.0
-        with pytest.raises(ParameterError):
-            TimeGateSpec(width=0.0)
-        # The gate is always centred on the heralding pulse.
-        with pytest.raises(TypeError):
-            TimeGateSpec(width=1.0, center=0.5)
 
 
 class TestPumpTrain:
@@ -79,15 +64,6 @@ class TestPumpTrain:
         grid = TimeGrid(101, -5.0, 5.0)
         single = train_amplitude(PulseTrainSpec(1.0, 7.0, n_side_pulses=0), grid.points)
         assert np.allclose(single, np.exp(-grid.points**2), rtol=0, atol=1e-15)
-
-    def test_coverage_warning_on_short_grid(self):
-        train = PulseTrainSpec(sigma_p=1.0, period=4.0, n_side_pulses=2)
-        with pytest.warns(CoverageWarning):
-            warn_if_train_cropped(train, TimeGrid(64, -3.0, 3.0))
-        # Covering grid stays quiet.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CoverageWarning)
-            warn_if_train_cropped(train, TimeGrid(512, -train.span, train.span))
 
     def test_envelopes_non_negative_and_bounded(self):
         train = PulseTrainSpec(sigma_p=1.0, period=2.0, n_side_pulses=3)
@@ -123,23 +99,6 @@ def full_train_sum(train, t):
     """The train amplitude summed over all 2M + 1 pulses."""
     centers = np.arange(-train.n_side_pulses, train.n_side_pulses + 1) * train.period
     return np.exp(-(((t[None, :] - centers[:, None]) / train.sigma_p) ** 2)).sum(axis=0)
-
-
-class TestFilterAndGate:
-    def test_gate_boundary_samples_kept(self):
-        gate = TimeGateSpec(width=2.0)
-        grid = TimeGrid(41, -2.0, 2.0)  # nodes exactly at +/-1
-        values = sample_gate(gate, grid)
-        t = grid.points
-        assert values[np.isclose(t, 1.0)] == 1.0
-        assert values[np.isclose(t, -1.0)] == 1.0
-        assert values[np.abs(t) > 1.0 + 1e-12].max() == 0.0
-
-    def test_gate_idempotent(self):
-        gate = TimeGateSpec(width=1.3)
-        grid = TimeGrid(97, -3.0, 3.0)
-        values = sample_gate(gate, grid)
-        assert np.array_equal(values * values, values)
 
 
 class TestConversions:
