@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -223,7 +224,10 @@ def analyze(cfg: dict) -> dict:
         detector_efficiency=cfg["detector_efficiency"],
         transmission_err=cfg["transmission_err"],
     )
-    records, issues = read_counts_csv(cfg["counts_csv"])
+    # A warning of the reader (a defaulted column) goes into the payload, not to stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records, issues = read_counts_csv(cfg["counts_csv"])
 
     def measured(reduction, *args):
         # Null for a record without triggers (for g2 also without counts in
@@ -287,6 +291,7 @@ def analyze(cfg: dict) -> dict:
         },
         "fits": fits,
         "skipped_rows": issues,
+        "warnings": sorted(str(w.message) for w in caught),
     }
 
 

@@ -229,7 +229,7 @@ def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[np.nda
         if odd:
             even, odd_spectrum = np.square(np.linalg.svd(blocks, compute_uv=False))
             # lambda_1 is the even block's top, which the routine's value replaces.
-            weights[:, 1:] = merge_descending(even[:, 1:], odd_spectrum)[0]
+            weights[:, 1:] = merge_descending(even[:, 1:], odd_spectrum)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
     weights *= step * step

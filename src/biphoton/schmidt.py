@@ -39,14 +39,15 @@ class SchmidtResult:
     ``singular_values`` holds the full normalized spectrum (sum of
     squares equal to one); only the first ``len(signal_modes)`` mode
     functions are kept.  Mode rows are orthonormal under the grid
-    quadrature and carry the phase convention that the largest-magnitude
-    component of each signal mode is positive real.
+    quadrature and carry the phase convention that the first component of
+    each signal mode within a relative 1e-8 of its largest magnitude is
+    positive real.
 
     The spectrum and the fields derived from it (``singular_values``,
     ``purity``, ``schmidt_number``, ``tail_mass``) are computed by
     `schmidt_decompose` itself, from singular values alone.
     ``signal_modes`` and ``idler_modes`` are computed on their first read,
-    both at once, from a read-only copy of the weighted support block the
+    both at once, from one SVD of the read-only weighted support block the
     result holds; later reads return the same arrays.
     """
 
@@ -59,7 +60,6 @@ class SchmidtResult:
     _block: np.ndarray = field(repr=False, compare=False)
     _support: tuple[slice, slice] = field(repr=False, compare=False)
     _mode_count: int = field(repr=False, compare=False)
-    _folded: bool = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = float((self.singular_values**2).sum())
@@ -80,17 +80,19 @@ class SchmidtResult:
         # this on a first read; each gets the same arrays, bit for bit.
         block, (rows, cols), k = self._block, self._support, self._mode_count
         try:
-            if self._folded:
-                u, _, vh = _folded_svd(block, k)
-            else:
-                u, _, vh = np.linalg.svd(block, full_matrices=False)
+            u, _, vh = np.linalg.svd(block, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
         signal = np.zeros((k, self.axis_s.n_points), dtype=vh.dtype)
         signal[:, cols] = vh[:k] / math.sqrt(self.axis_s.step)
         idler = np.zeros((k, self.axis_i.n_points), dtype=u.dtype)
         idler[:, rows] = u[:, :k].T / math.sqrt(self.axis_i.step)
-        pivot = np.take_along_axis(signal, np.argmax(np.abs(signal), axis=1)[:, None], axis=1)
+        # The pivot is the first component within a relative 1e-8 of the
+        # largest magnitude, not argmax: the mirror pair of a mode of a
+        # symmetric amplitude has magnitudes equal up to round-off.
+        magnitude = np.abs(signal)
+        near_peak = magnitude >= (1.0 - 1e-8) * magnitude.max(axis=1, keepdims=True)
+        pivot = np.take_along_axis(signal, np.argmax(near_peak, axis=1)[:, None], axis=1)
         magnitude = np.abs(pivot)
         rotation = np.divide(np.conj(pivot), magnitude, out=np.ones_like(pivot), where=magnitude > 0)
         signal *= rotation
@@ -123,31 +125,9 @@ def support(values: np.ndarray) -> tuple[slice, slice]:
     return slices[0], slices[1]
 
 
-def merge_descending(even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd parity spectra merged in descending order along the last axis.
-
-    Returns the merged values and the order that takes the concatenation
-    (even first) to them.  The sort is stable, so a value of the even block
-    precedes an equal one of the odd block.
-    """
-    joined = np.concatenate([even, odd], axis=-1)
-    order = np.argsort(-joined, axis=-1, kind="stable")
-    return np.take_along_axis(joined, order, axis=-1), order
-
-
-def _lift(half: np.ndarray, size: int, sign: float) -> np.ndarray:
-    """Rows (v; sign Ev) / sqrt(2) of length ``size`` from the parity-block vectors ``half``.
-
-    An even vector of odd length keeps its middle entry v_mid as it is;
-    an odd one has a zero there.
-    """
-    head = size // 2
-    full = np.zeros((half.shape[0], size), dtype=half.dtype)
-    full[:, :head] = half[:, :head] * math.sqrt(0.5)
-    full[:, size - head :] = sign * full[:, head - 1 :: -1]
-    if size % 2 and sign > 0:
-        full[:, head] = half[:, head]
-    return full
+def merge_descending(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Even and odd parity spectra merged in descending order along the last axis."""
+    return -np.sort(-np.concatenate([even, odd], axis=-1), axis=-1)
 
 
 def _parity_blocks(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,28 +152,6 @@ def _parity_blocks(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n % 2:
         plus[:, low_n] *= math.sqrt(0.5)
     return plus, minus
-
-
-def _folded_svd(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of the symmetric part of an m x n block B through its `_parity_blocks`.
-
-    Returns the merged spectrum and the leading ``k`` vectors lifted back
-    to the block, u as ``(m, k)`` and vh as ``(k, n)``.
-    """
-    m, n = block.shape
-    plus, minus = _parity_blocks(block)
-    u_plus, s_plus, vh_plus = np.linalg.svd(plus, full_matrices=False)
-    u_minus, s_minus, vh_minus = np.linalg.svd(minus, full_matrices=False)
-    s, order = merge_descending(s_plus, s_minus)
-    chosen = order[:k]
-    even = chosen < s_plus.size
-    u = np.empty((k, m), dtype=u_plus.dtype)
-    vh = np.empty((k, n), dtype=vh_plus.dtype)
-    u[even] = _lift(u_plus[:, chosen[even]].T, m, 1.0)
-    u[~even] = _lift(u_minus[:, chosen[~even] - s_plus.size].T, m, -1.0)
-    vh[even] = _lift(vh_plus[chosen[even]], n, 1.0)
-    vh[~even] = _lift(vh_minus[chosen[~even] - s_plus.size], n, -1.0)
-    return u.T, s, vh
 
 
 def _is_centrosymmetric(block: np.ndarray) -> bool:
@@ -225,12 +183,12 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     independent of the amplitude's scale.  The SVD runs on the `support`
     block of the values.  The spectrum is padded with zeros to
     ``min(n_i, n_s)`` coefficients; at most ``min(k_max, min(block.shape))``
-    modes are kept, zero outside the block.  A block that is
-    centrosymmetric within ``FOLD_BUDGET`` (a symmetric amplitude on a
-    symmetric lattice) is decomposed through its two half-size parity
-    blocks (see `_folded_svd`); any other through one SVD.  This call takes
-    singular values alone; the singular vectors behind the mode functions
-    are computed on the first read of ``signal_modes`` or ``idler_modes``.
+    modes are kept, zero outside the block.  This call takes singular
+    values alone: those of a block that is centrosymmetric within
+    ``FOLD_BUDGET`` (a symmetric amplitude on a symmetric lattice) from its
+    two half-size `_parity_blocks`, those of any other block from one SVD.
+    The mode functions come from one SVD of the block itself, on the first
+    read of ``signal_modes`` or ``idler_modes``.
     """
     if isinstance(k_max, bool):
         raise ParameterError("k_max must be an integer, not a bool")
@@ -258,10 +216,9 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
     rows, cols = support(values)
     weighted = values[rows, cols] * math.sqrt(jta.axis_i.step * jta.axis_s.step)
     weighted.flags.writeable = False
-    folded = _is_centrosymmetric(weighted)
     try:
-        if folded:
-            s, _ = merge_descending(*(np.linalg.svd(b, compute_uv=False) for b in _parity_blocks(weighted)))
+        if _is_centrosymmetric(weighted):
+            s = merge_descending(*(np.linalg.svd(b, compute_uv=False) for b in _parity_blocks(weighted)))
         else:
             s = np.linalg.svd(weighted, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -282,7 +239,6 @@ def schmidt_decompose(jta: JointAmplitude, k_max: int = 16) -> SchmidtResult:
         _block=weighted,
         _support=(rows, cols),
         _mode_count=k,
-        _folded=folded,
     )
 
 

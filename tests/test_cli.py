@@ -150,25 +150,25 @@ class TestEfficiencyCommand:
         assert "t_hat = 0.05 is below the lattice step 0.0625" in lines[0]
 
     @pytest.mark.parametrize(
-        "args,name",
+        "args",
         [
-            (
-                ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85", "--side-pulses", str(10**400)],
-                "n_side_pulses",
-            ),
-            (
-                ["sweep", "--t-min", "2", "--t-max", "4", "--gamma-min", "0.4", "--gamma-max", "1.2",
-                 "--side-pulses", str(10**400)],
-                "n_side_pulses",
-            ),
+            ["efficiency", "--t-hat", "4", "--gamma-hat", "0.85"],
+            ["sweep", "--t-min", "2", "--t-max", "4", "--t-steps", "3",
+             "--gamma-min", "0.4", "--gamma-max", "1.2", "--gamma-steps", "4"],
         ],
+        ids=["efficiency", "sweep"],
     )
-    def test_integer_beyond_float_range_is_numerical_error(self, runner, args, name):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 4
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert lines == [f"error: {name} must convert to a finite float"]
+    def test_integer_beyond_float_range_evaluates(self, runner, args):
+        # Pulses beyond PULSE_REACH of the lattice add exactly 0.0, so a train
+        # of 10**400 side pulses gives the results of one of 10**6.
+        payloads = []
+        for count in (10**400, 10**6):
+            result = runner.invoke(main, args + ["--side-pulses", str(count)])
+            assert result.exit_code == 0 and result.stderr == "", result.output
+            payload = json.loads(result.stdout)
+            assert payload["config"].pop("side_pulses") == count
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     def test_invalid_physics_parameter(self, runner):
         result = runner.invoke(main, ["efficiency", "--t-hat", "-1", "--gamma-hat", "0.85"])
@@ -453,6 +453,23 @@ class TestAnalyzeCommand:
         reference = run_json(runner, self.analyze_args(plain))
         assert payload["skipped_rows"] == []
         assert {**payload, "config": None} == {**reference, "config": None}
+
+    def test_defaulted_columns_warn_in_the_payload_not_on_stderr(self, runner, tmp_path):
+        # No triple-coincidence or accidental columns: both read as zero.
+        counts = tmp_path / "counts.csv"
+        counts.write_text("\n".join(",".join(line.split(",")[:6]) for line in COUNTS_BODY.splitlines()) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, self.analyze_args(counts))
+        assert result.exit_code == 0 and result.stderr == ""
+        assert caught == []
+        payload = json.loads(result.stdout)
+        assert payload["warnings"] == [
+            "counts CSV lacks c_HV_given_T, acc_s_given_T; treating those rates as zero"
+        ]
+        assert len(payload["records"]) == 3 and payload["skipped_rows"] == []
+        counts.write_text(COUNTS_BODY)
+        assert run_json(runner, self.analyze_args(counts))["warnings"] == []
 
     def test_missing_file_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, self.analyze_args(tmp_path / "absent.csv"))

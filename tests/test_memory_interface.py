@@ -157,9 +157,9 @@ class TestDesignPoint:
             DesignPoint(t_hat=2.0, gamma_hat=-1.0)
         with pytest.raises(ParameterError):
             DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=-1)
-        # Integers beyond float range are refused before any lattice arithmetic.
-        with pytest.raises(ParameterError, match="n_side_pulses must convert to a finite float"):
-            DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=10**400)
+        # An integer beyond float range evaluates, as the train of 10**6 side pulses.
+        huge = evaluate_design(DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=10**400))
+        assert huge == evaluate_design(DesignPoint(t_hat=2.0, gamma_hat=1.0, n_side_pulses=10**6))
 
 
 class TestMidpointLattice:

@@ -70,6 +70,13 @@ def assert_matches_full_svd(jta, result, k_max):
         assert np.abs(result.idler_modes[k] - np.conj(phase) * idler[k]).max() <= 1e-8
 
 
+def first_near_peak(mode):
+    # The pivot of the phase convention: the first component within a
+    # relative 1e-8 of the largest magnitude.
+    magnitude = np.abs(mode)
+    return int(np.flatnonzero(magnitude >= (1.0 - 1e-8) * magnitude.max())[0])
+
+
 def hermite_gauss(k, a, t):
     # Unit-norm H_k(sqrt(2a) t) exp(-a t^2), H_k the physicists' Hermite polynomial.
     coeffs = np.zeros(k + 1)
@@ -167,9 +174,22 @@ class TestModes:
         jta = double_gaussian_jta(0.9)
         result = schmidt_decompose(jta, k_max=3)
         for mode in np.asarray(result.signal_modes, dtype=complex):
-            pivot = mode[np.argmax(np.abs(mode))]
+            pivot = mode[first_near_peak(mode)]
             assert pivot.real > 0
             assert abs(pivot.imag) <= 1e-12 * abs(pivot)
+
+    def test_sign_convention_ignores_round_off_between_mirror_components(self):
+        # Each mode of a symmetric amplitude on a symmetric lattice is even or
+        # odd, so its largest magnitude is taken twice up to round-off; an odd
+        # mode's two candidates have opposite signs.  The first one is positive.
+        result = schmidt_decompose(double_gaussian_jta(0.8), k_max=8)
+        parities = []
+        for mode in result.signal_modes:
+            parity = np.sign(mode @ mode[::-1])
+            assert np.abs(mode - parity * mode[::-1]).max() <= 1e-10 * np.abs(mode).max()
+            parities.append(parity)
+            assert mode[first_near_peak(mode)] > 0
+        assert parities == [1, -1] * 4
 
     def test_global_sign_flip_keeps_signal_modes(self):
         jta = double_gaussian_jta(0.9)
@@ -417,27 +437,28 @@ class TestLazyModes:
         monkeypatch.setattr(np.linalg, "svd", recording)
         return calls
 
-    @pytest.mark.parametrize("name, vector_calls", [("folded", 2), ("unfolded", 1)])
-    def test_decompose_takes_singular_values_alone(self, monkeypatch, name, vector_calls):
+    @pytest.mark.parametrize("name, spectrum_calls", [("folded", 2), ("unfolded", 1)])
+    def test_decompose_takes_singular_values_alone(self, monkeypatch, name, spectrum_calls):
+        # The folded route's spectrum is one SVD per parity block.
         jta = scale_inputs()[name]
         calls = self.svd_calls(monkeypatch)
         schmidt_decompose(jta, k_max=4)
-        assert calls == [False] * vector_calls
+        assert calls == [False] * spectrum_calls
 
-    @pytest.mark.parametrize("name, vector_calls", [("folded", 2), ("unfolded", 1)])
+    @pytest.mark.parametrize("name, spectrum_calls", [("folded", 2), ("unfolded", 1)])
     @pytest.mark.parametrize("first", ["signal_modes", "idler_modes", "fundamental_kernel"])
-    def test_first_read_decomposes_once(self, monkeypatch, name, vector_calls, first):
-        # The folded route's vector decomposition is one SVD per parity block.
+    def test_first_read_decomposes_once(self, monkeypatch, name, spectrum_calls, first):
+        # On either route the modes come from one SVD of the whole block.
         jta = scale_inputs()[name]
-        result = schmidt_decompose(jta, k_max=4)
         calls = self.svd_calls(monkeypatch)
+        result = schmidt_decompose(jta, k_max=4)
         if first == "fundamental_kernel":
             fundamental_kernel(result)
         else:
             getattr(result, first)
-        assert calls == [True] * vector_calls
+        assert calls == [False] * spectrum_calls + [True]
         result.signal_modes, result.idler_modes, fundamental_kernel(result)
-        assert len(calls) == vector_calls
+        assert len(calls) == spectrum_calls + 1
 
     def test_modes_ignore_later_writes_to_the_amplitude(self):
         jta = double_gaussian_jta(0.8)

@@ -40,9 +40,12 @@ class TestSpecs:
             PulseTrainSpec(sigma_p=1.0, period=-2.0)
         with pytest.raises(ParameterError):
             PulseTrainSpec(sigma_p=1.0, period=1.0, n_side_pulses=-1)
-        # An integer beyond float range is refused at construction.
-        with pytest.raises(ParameterError, match="n_side_pulses must convert to a finite float"):
-            PulseTrainSpec(1.0, 4.0, 10**400)
+        # An integer beyond float range is a train like any other: pulses
+        # beyond PULSE_REACH of the times add exactly 0.0, so it has the
+        # amplitude of the train of 10**6 side pulses.
+        t = np.linspace(-6.0, 6.0, 97)
+        huge, million = PulseTrainSpec(1.0, 4.0, 10**400), PulseTrainSpec(1.0, 4.0, 10**6)
+        assert np.array_equal(train_amplitude(huge, t), train_amplitude(million, t))
 
     def test_filter_fwhm_properties(self):
         filt = GaussianFilterSpec.from_amplitude_fwhm(1.4)
