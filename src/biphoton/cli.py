@@ -175,11 +175,11 @@ def efficiency(cfg: dict) -> dict:
 def sweep(cfg: dict) -> dict:
     """Sweep the design rectangle and report per-row optima.
 
-    Cells of a row that share a lattice are evaluated in batches, one
-    batched power iteration for the top singular value of their even
-    parity blocks each, on a thread pool of one thread per CPU the process
-    may run on (taskset caps it); results do not depend on the thread
-    count.
+    Columns that share a lattice step share fold tables, built once per
+    chunk; the cells of a row that share a lattice take one batched power
+    iteration for the top singular value of their even parity blocks, on a
+    thread pool of one thread per CPU the process may run on (taskset caps
+    it); results do not depend on the thread count.
     """
     emap = sweep_design_space(
         (cfg["t_min"], cfg["t_max"]),

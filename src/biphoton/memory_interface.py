@@ -43,8 +43,8 @@ SUPPORT_HALF_WIDTH = 5.0
 # Largest lattice, in points per axis, that a design point may ask for:
 # design evaluation then holds the two (n/2) x (n/2) parity blocks of the
 # value matrix and the SVD's copy of one, 3 * 8 * 2048^2 B = 101 MB, so a
-# process evaluating it stays under 160 MB; a sweep builds the even block
-# alone, one cell per stack at this size.  The step rule admits the cap
+# process evaluating it stays under 160 MB; a sweep builds the fold table
+# alone, one column per chunk at this size.  The step rule admits the cap
 # itself, at (256, 0.04): there `efficiency` peaks at 130 MB RSS and takes
 # 9.3 s, a one-cell `sweep` 63 MB and 0.3 s; at (12, 200), n = 4020,
 # `efficiency` peaks at 126 MB and takes 7.0 s (fresh processes, medians of
@@ -53,15 +53,14 @@ SUPPORT_HALF_WIDTH = 5.0
 # would ask for 16160.
 MAX_LATTICE_POINTS = 4096
 
-# Byte budget of one stack of (n/2) x (n/2) even blocks in a sweep batch.
-# With the power iteration of `_top_eigenvalue` at POWER_TOLERANCE the 32x64
-# sweep takes 139-142 / 79-89 / 75-80 ms serially and 172-174 / 71-73 /
-# 59-64 ms on a pool of two at 256 KB / 1 MB / 4 MB (medians of 25 shuffled
-# rounds in each of two sets, OPENBLAS_NUM_THREADS=1, 2-CPU Intel Xeon
-# host): smaller stacks pay more Python steps per cell.  Each worker holds
-# one stack, so 4 MB would cut the pool's time by 12-17 % for 6.4 MB more
-# peak RSS over the 36 MB of a process running the sweep on the pool.
-BATCH_BYTES = 1 << 20
+# Byte budget of the fold tables of one sweep chunk (see `sweep_design_space`):
+# it must hold the acceptance map's 64 tables at n/2 = 96, 4.7 MB, in one
+# chunk.  Serial / pool-of-two medians of 15 shuffled rounds, 32x64 maps
+# (OPENBLAS_NUM_THREADS=1, 2-CPU Intel Xeon host), at 1 / 4 / 8 / 16 / 32 MB:
+# acceptance 88.5/96.3, 60.4/60.4, 53.4/47.2, 49.3/46.2, 50.6/46.0 ms; t_hat
+# in [2, 40], gamma_hat in [0.05, 4] 285.6/297.6, 225.8/245.1, 208.7/231.7,
+# 245.3/212.1, 242.3/235.7 ms.  Beyond 8 MB only the peak RSS grows.
+TABLE_BYTES = 8 << 20
 
 # Relative residual tau = POWER_TOLERANCE that ends the power iteration of
 # `_top_eigenvalue`, ||K^T K x - theta x|| <= tau theta: by Kato-Temple theta is
@@ -116,7 +115,7 @@ class DesignReport:
     norm_reference: float
 
 
-def _lattice(point: DesignPoint) -> tuple[int, float]:
+def _lattice(t_hat: float, gamma_hat: float) -> tuple[int, float]:
     """Nodes per side and step of a design point's idler/signal lattice, bounded before allocation.
 
     The step is h = 1 / (16 ceil(gamma_hat / 8)): the coarsest multiple
@@ -146,18 +145,18 @@ def _lattice(point: DesignPoint) -> tuple[int, float]:
     float64 (gamma_hat above about 3.4e153): a subnormal h^2 loses digits
     and a zero one makes every weight vanish.
     """
-    if not math.isfinite(_single_pulse_norm(point.gamma_hat)):
-        raise ParameterError(f"gamma_hat = {point.gamma_hat:g} is too small: the norm pi / (2 gamma_hat) overflows")
+    if not math.isfinite(_single_pulse_norm(gamma_hat)):
+        raise ParameterError(f"gamma_hat = {gamma_hat:g} is too small: the norm pi / (2 gamma_hat) overflows")
     # In Python floats the step stays positive up to the largest gamma_hat,
     # whose lattice then exceeds the cap; the density itself would overflow.
-    refinement = float(np.ceil(point.gamma_hat / (0.5 * RESOLUTION_POINTS_PER_SIGMA)))
+    refinement = float(np.ceil(gamma_hat / (0.5 * RESOLUTION_POINTS_PER_SIGMA)))
     step = 1.0 / RESOLUTION_POINTS_PER_SIGMA / refinement
-    if point.t_hat < step:
+    if t_hat < step:
         raise ParameterError(
-            f"t_hat = {point.t_hat:g} is below the lattice step {step:g}: the gate holds no node"
+            f"t_hat = {t_hat:g} is below the lattice step {step:g}: the gate holds no node"
         )
-    local = SUPPORT_HALF_WIDTH * (1.0 + 1.0 / point.gamma_hat)
-    half = max(1.0, float(np.ceil(min(0.5 * point.t_hat, local) / step - 0.5)))
+    local = SUPPORT_HALF_WIDTH * (1.0 + 1.0 / gamma_hat)
+    half = max(1.0, float(np.ceil(min(0.5 * t_hat, local) / step - 0.5)))
     n_points = 2 * half
     if not n_points <= MAX_LATTICE_POINTS:
         gigabytes = 8 * n_points * n_points / 1e9
@@ -167,13 +166,52 @@ def _lattice(point: DesignPoint) -> tuple[int, float]:
         )
     if step * step < sys.float_info.min:
         raise ParameterError(
-            f"gamma_hat = {point.gamma_hat:g} is too large: the lattice cell area h^2 = {step * step:g} "
+            f"gamma_hat = {gamma_hat:g} is too large: the lattice cell area h^2 = {step * step:g} "
             "is below the smallest normal float64"
         )
     return int(half), step
 
 
-def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+def _fold_windows(gammas: np.ndarray, half: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Windows w_k(i - q), w_k(i + q - (n - 1)), i, q < half = n/2, of one table of w_k(r) = exp(-(gammas[k] h r)^2)."""
+    n = 2 * half
+    # w[:, n - 1 + r] = w(r) for |r| < n; windows[:, s, q] = w[:, s + q].  w is even, so
+    # w(i - q) = w(q - i) sits in window n - 1 - i, and w(i + q - (n - 1)) in window i.
+    w = np.exp(-np.square(np.multiply.outer(gammas, np.arange(1 - n, n) * step)))
+    windows = sliding_window_view(w, half, axis=-1)
+    return windows[:, n - 1 : half - 1 : -1], windows[:, :half]
+
+
+def _fold_tables(gammas: np.ndarray, half: int, step: float) -> np.ndarray:
+    """Symmetric fold tables S, the sum of the `_fold_windows`; their difference is the odd fold D.
+
+    K+- = (S or D) diag(Omega) (see `_parity_spectra`).  With the nodes at
+    -(j + 1/2) h, S = w(j_q - j_i) + w(j_i + j_q + 1) does not depend on
+    half, so the trailing ``[-m:, -m:]`` view of a larger table is the table at m.
+    """
+    return np.add(*_fold_windows(gammas, half, step))
+
+
+def _top_weights(tables: np.ndarray, gammas: np.ndarray, t_hat: float, n_side_pulses: int, step: float):
+    """Top weight lambda_1, scaled by the cell area, of cells on the lattice of their ``(k, half, half)`` tables.
+
+    `_top_eigenvalue` starts from the single-pulse fundamental (`_signal_fundamental`).  Returns the nodes
+    t_p = (p - half + 1/2) h, p < half, the pump amplitude Omega there and the weights; raises
+    :class:`ParameterError` when any amplitude vanishes.
+    """
+    half = tables.shape[-1]
+    t = (np.arange(half) + 0.5 - half) * step
+    omega = train_amplitude(PulseTrainSpec(1.0, t_hat, n_side_pulses), t)
+    try:
+        top = _top_eigenvalue(tables, omega, _signal_fundamental(gammas[:, None], t)) * (step * step)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
+    if (top <= 0).any():
+        raise ParameterError("joint amplitude vanished at this design point")
+    return t, omega, top
+
+
+def _parity_spectra(points: list[DesignPoint]) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Schmidt weights of points that share a lattice, from the parity blocks of the value matrix.
 
     The points must differ in ``gamma_hat`` only and share one lattice.
@@ -188,54 +226,32 @@ def _parity_spectra(points: list[DesignPoint], odd: bool = True) -> tuple[np.nda
 
     whose Gram matrices K+-^T K+- are the diagonal blocks of the signal
     Gram matrix J^T J in the even/odd basis: the even and odd Schmidt
-    modes (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  Both blocks are
-    windows of one table of w over |r| < n.  J^T J is entrywise positive,
-    so by Perron-Frobenius its top eigenvector is positive, hence even:
-    K+ holds the top weight lambda_1, which `_top_eigenvalue` finds by
-    power iteration from the Hermite-Gauss fundamental exp(-sqrt(1 +
-    gamma_hat^2) t^2) of the single-pulse state.  With ``odd=True`` both
-    blocks also go through the SVD, and the even block's top is replaced
-    by the power iteration's value, so a sweep cell and `evaluate_design`
-    report the same lambda_1 bit for bit; with ``odd=False`` nothing is
-    decomposed.
+    modes (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  J^T J is
+    entrywise positive, so by Perron-Frobenius its top eigenvector is
+    positive, hence even: K+ holds the top weight lambda_1.  The even fold
+    table goes into place first and `_top_weights` takes lambda_1 from it,
+    as a sweep cell does, bit for bit; then the odd one, both are scaled
+    by Omega in place and go through the SVD, whose even top lambda_1 replaces.
 
     Returns the nodes t_p for p < n/2, h, the blocks ``(2, k, n/2, n/2)``
-    (even first; one block with ``odd=False``) and the weights ``(k, n)``:
-    lambda_1 first, then the other squared singular values in descending
-    order (zeros with ``odd=False``), scaled by the cell area.  Raises
-    :class:`ParameterError` when any amplitude vanishes.
+    (even first) and the weights ``(k, n)``: lambda_1 first, then the other
+    squared singular values in descending order, scaled by the cell area.
+    Raises :class:`ParameterError` when any amplitude vanishes.
     """
-    half, step = _lattice(points[0])
-    n = 2 * half
-    t = (np.arange(half) + 0.5 - half) * step
+    half, step = _lattice(points[0].t_hat, points[0].gamma_hat)
     gammas = np.array([p.gamma_hat for p in points])
-    train = PulseTrainSpec(sigma_p=1.0, period=points[0].t_hat, n_side_pulses=points[0].n_side_pulses)
-    omega = train_amplitude(train, t)
-
-    # w[:, n - 1 + r] = w(r) for |r| < n; windows[:, s, q] = w[:, s + q].  w is even, so
-    # w(i - q) = w(q - i) sits in window n - 1 - i, and w(i + q - (n - 1)) in window i.
-    w = np.exp(-np.square(np.multiply.outer(gammas, np.arange(1 - n, n) * step)))
-    windows = sliding_window_view(w, half, axis=-1)
-    direct, mirror = windows[:, n - 1 : half - 1 : -1], windows[:, :half]
-    blocks = np.empty((2 if odd else 1, len(points), half, half))
+    blocks = np.empty((2, len(points), half, half))
+    direct, mirror = _fold_windows(gammas, half, step)
     np.add(direct, mirror, out=blocks[0])
-    if odd:
-        np.subtract(direct, mirror, out=blocks[1])
+    t, omega, top = _top_weights(blocks[0], gammas, points[0].t_hat, points[0].n_side_pulses, step)
+    np.subtract(direct, mirror, out=blocks[1])
     blocks *= omega
-    start = _signal_fundamental(gammas[:, None], t)
-    weights = np.zeros((len(points), n))
     try:
-        weights[:, 0] = _top_eigenvalue(blocks[0], start)
-        if odd:
-            even, odd_spectrum = np.square(np.linalg.svd(blocks, compute_uv=False))
-            # lambda_1 is the even block's top, which the routine's value replaces.
-            weights[:, 1:] = merge_descending(even[:, 1:], odd_spectrum)
+        even, odd = np.square(np.linalg.svd(blocks, compute_uv=False))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"singular value decomposition failed: {exc}") from exc
-    weights *= step * step
-    if (weights[:, 0] <= 0).any():
-        raise ParameterError("joint amplitude vanished at this design point")
-    return t, step, blocks, weights
+    # lambda_1 is the even block's top, which the power iteration's value replaces.
+    return t, step, blocks, np.column_stack([top, merge_descending(even[:, 1:], odd) * (step * step)])
 
 
 def _signal_fundamental(gamma_hat, t: np.ndarray) -> np.ndarray:
@@ -255,23 +271,25 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _top_eigenvalue(blocks: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of K^T K for each entrywise-positive block K of a ``(k, r, m)`` stack.
+def _top_eigenvalue(tables: np.ndarray, omega: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of K^T K, K = S diag(omega), for each symmetric table S of a ``(k, m, m)`` stack.
 
-    Batched power iteration x -> K^T (K x) from the positive ``(k, m)``
-    start vectors, which never forms K^T K: the result is the Rayleigh
-    quotient theta of each cell at the first step whose residual ||K^T K x
-    - theta x|| is at most ``POWER_TOLERANCE`` theta, so each cell stops on
-    its own.  Every product and reduction is a per-slice matmul, so a
-    cell's value does not depend on the other cells of its stack.  Cells
-    not converged after ``POWER_STEPS`` steps, where lambda_2 / lambda_1 is
-    near one, take the square of K's top singular value.
+    Batched power iteration x -> omega * S (S (omega * x)) = K^T K x, since
+    K^T = diag(omega) S, from the positive ``(k, m)`` start vectors: it
+    never forms K or K^T K, so one stack of tables serves every pump
+    amplitude ``omega``.  The result is the Rayleigh quotient theta of each
+    cell at the first step whose residual ||K^T K x - theta x|| is at most
+    ``POWER_TOLERANCE`` theta, so each cell stops on its own.  Every product
+    and reduction is a per-slice matmul, so a cell's value does not depend
+    on the other cells of its stack, nor on whether its table is a view.
+    Cells not converged after ``POWER_STEPS`` steps, where lambda_2 /
+    lambda_1 is near one, take the square of K's top singular value.
     """
-    top = np.empty(len(blocks))
-    todo = np.arange(len(blocks))
+    top = np.empty(len(tables))
+    todo = np.arange(len(tables))
     x = start / np.sqrt(_rowwise_dot(start, start))[:, None]
     for _ in range(POWER_STEPS):
-        y = np.matmul(np.matmul(blocks, x[:, :, None]).transpose(0, 2, 1), blocks)[:, 0]
+        y = omega * np.matmul(tables, np.matmul(tables, (omega * x)[:, :, None]))[:, :, 0]
         theta = _rowwise_dot(x, y)
         residual = y - theta[:, None] * x
         done = np.sqrt(_rowwise_dot(residual, residual)) <= POWER_TOLERANCE * theta
@@ -279,9 +297,9 @@ def _top_eigenvalue(blocks: np.ndarray, start: np.ndarray) -> np.ndarray:
             top[todo[done]] = theta[done]
             if done.all():
                 return top
-            todo, blocks, y = todo[~done], blocks[~done], y[~done]
+            todo, tables, y = todo[~done], tables[~done], y[~done]
         x = y / np.sqrt(_rowwise_dot(y, y))[:, None]
-    top[todo] = np.square(np.linalg.svd(blocks, compute_uv=False)[:, 0])
+    top[todo] = np.square(np.linalg.svd(tables * omega, compute_uv=False)[:, 0])
     return top
 
 
@@ -416,20 +434,20 @@ def sweep_design_space(
     resolution:
         Number of grid values per axis (t axis, gamma axis).
     workers:
-        Thread count of the pool that evaluates the batches, at least 1.
-        ``None`` means one thread per CPU the process may run on (its CPU
-        affinity, which ``taskset`` caps).  The batches do not depend on
-        the worker count and results are assembled by cell index, so the
-        map is the same bit for bit on any pool.
+        Thread count of the pool that evaluates the rows of a chunk, at
+        least 1.  ``None`` means one thread per CPU the process may run on
+        (its CPU affinity, which ``taskset`` caps).  The batches do not
+        depend on the worker count and results are assembled by cell
+        index, so the map is the same bit for bit on any pool.
 
-    The cells of one row that share a lattice (see `_lattice`: its step
-    follows from gamma_hat, so two cells may share a node count but not a
-    step) are evaluated in batches of at most ``BATCH_BYTES`` of even
-    parity blocks K+ of the value matrix (see `_parity_spectra`): a cell
-    reports only the top weight, which K+ holds, so a batch is one batched
-    power iteration (`_top_eigenvalue`) in which each cell stops on its
-    own residual and falls back to the SVD only when it does not
-    converge.
+    Columns that share a lattice step (it follows from gamma_hat alone,
+    see `_lattice`) go in chunks whose fold tables (`_fold_tables`), built
+    once at the largest half-size any row asks for, fit in
+    ``TABLE_BYTES``, or one column to a chunk.  The cells of a row that
+    share a lattice run on the trailing ``[-half:, -half:]`` view of the
+    chunk's tables with the row's pump amplitude: one batched power
+    iteration (`_top_eigenvalue`) for the top weight, which equals
+    `read_in_efficiency` of the cell's point bit for bit.
 
     Cell evaluations that fail numerically are recorded with their
     coordinates in ``failures`` and leave a NaN cell instead of
@@ -443,6 +461,7 @@ def sweep_design_space(
     for name, (low, high) in (("t_range", t_range), ("gamma_range", gamma_range)):
         if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
             raise ParameterError(f"{name} must satisfy 0 < min <= max")
+    PulseTrainSpec(1.0, t_range[0], n_side_pulses)  # raises on an invalid n_side_pulses
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     elif workers < 1:
@@ -453,43 +472,54 @@ def sweep_design_space(
 
     eta = np.full((n_t, n_gamma), math.nan)
     errors: dict[tuple[int, int], str] = {}
-
-    # Batch jobs: the cells of one row that share a lattice, in stacks of
-    # at most BATCH_BYTES of even blocks.
-    jobs: list[tuple[int, list[int], list[DesignPoint]]] = []
-    for row, t_hat in enumerate(t_values):
-        points = [DesignPoint(float(t_hat), float(gamma), n_side_pulses) for gamma in gamma_values]
-        groups: dict[tuple[int, float], list[int]] = {}
-        for col, point in enumerate(points):
+    # Half-size of each cell's lattice, 0 where it is refused, and each column's step.
+    halves = np.zeros((n_t, n_gamma), dtype=int)
+    steps: dict[int, float] = {}
+    for row, t_hat in enumerate(t_values.tolist()):
+        for col, gamma_hat in enumerate(gamma_values.tolist()):
             try:
-                groups.setdefault(_lattice(point), []).append(col)
+                halves[row, col], steps[col] = _lattice(t_hat, gamma_hat)
             except ParameterError as exc:
                 errors[row, col] = str(exc)
-        for (half, _), cols in groups.items():
-            per_stack = max(1, BATCH_BYTES // (8 * half**2))
-            for start in range(0, len(cols), per_stack):
-                stack = cols[start : start + per_stack]
-                jobs.append((row, stack, [points[col] for col in stack]))
 
-    def run(points: list[DesignPoint]) -> list[tuple[float, str | None]]:
+    # Chunks of columns that share a step, whose tables at the largest half fit in TABLE_BYTES.
+    chunks: list[tuple[float, list[int]]] = []
+    for col, step in sorted(steps.items()):
+        cols = chunks[-1][1] + [col] if chunks and chunks[-1][0] == step else [col]
+        if len(cols) > 1 and 8 * len(cols) * int(halves[:, cols].max()) ** 2 <= TABLE_BYTES:
+            chunks[-1] = (step, cols)
+        else:
+            chunks.append((step, [col]))
+
+    def run(t_hat: float, tables: np.ndarray, gammas: np.ndarray, step: float) -> list[tuple[float, str | None]]:
         try:
-            weights = _parity_spectra(points, odd=False)[-1]
+            top = _top_weights(tables, gammas, t_hat, n_side_pulses, step)[-1]
         except BiphotonError as exc:
-            if len(points) == 1:
+            if len(gammas) == 1:
                 return [(math.nan, str(exc))]
             # Only the failing cell is lost, with its own message.
-            return [result for point in points for result in run([point])]
-        gammas = np.array([point.gamma_hat for point in points])
-        return [(float(value), None) for value in weights[:, 0] / _single_pulse_norm(gammas)]
+            return [result for k in range(len(gammas)) for result in run(t_hat, tables[k, None], gammas[k, None], step)]
+        return [(float(value), None) for value in top / _single_pulse_norm(gammas)]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, (points for _, _, points in jobs)))
-
-    for (row, cols, _), batch in zip(jobs, results):
-        for col, (value, error) in zip(cols, batch):
-            eta[row, col] = value
-            if error is not None:
-                errors[row, col] = error
+        for step, cols in chunks:
+            gammas = gamma_values[cols]
+            tables = _fold_tables(gammas, int(halves[:, cols].max()), step)
+            # Jobs: the runs of a row's cells in this chunk that share a half-size.
+            jobs = []
+            for row, t_hat in enumerate(t_values.tolist()):
+                sizes = halves[row, cols]
+                edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(cols)]
+                for first, last in zip(edges, edges[1:]):
+                    if half := int(sizes[first]):
+                        view = tables[first:last, -half:, -half:]
+                        jobs.append((row, cols[first:last], (t_hat, view, gammas[first:last], step)))
+            outcomes = pool.map(lambda job: run(*job[2]), jobs)
+            for (row, run_cols, _), batch in zip(jobs, outcomes):
+                for col, (value, error) in zip(run_cols, batch):
+                    eta[row, col] = value
+                    if error is not None:
+                        errors[row, col] = error
     failures = [
         (float(t_values[row]), float(gamma_values[col]), errors[row, col])
         for row, col in sorted(errors)

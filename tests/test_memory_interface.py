@@ -165,7 +165,7 @@ class TestDesignPoint:
 class TestMidpointLattice:
     def test_nodes_straddle_gate_edges(self):
         point = DesignPoint(t_hat=2.0, gamma_hat=0.9)
-        assert mi._lattice(point) == (16, 1.0 / 16.0)
+        assert mi._lattice(2.0, 0.9) == (16, 1.0 / 16.0)
         t, step, _, _ = mi._parity_spectra([point])
         assert step == 1.0 / 16.0
         # The nodes of the lower half; the upper half is their mirror image.
@@ -177,7 +177,7 @@ class TestMidpointLattice:
 
     def test_narrow_gate_keeps_two_nodes_per_side(self):
         # A gate narrower than three steps holds one node per side.
-        assert mi._lattice(DesignPoint(t_hat=0.1, gamma_hat=0.9)) == (1, 1.0 / 16.0)
+        assert mi._lattice(0.1, 0.9) == (1, 1.0 / 16.0)
         eta = read_in_efficiency(DesignPoint(t_hat=0.1, gamma_hat=0.9))
         assert eta == pytest.approx(0.4034206208633296, rel=1e-12)
 
@@ -302,7 +302,7 @@ class TestReadInEfficiency:
             with pytest.raises(ParameterError, match="exceeds the cap"):
                 evaluate_design(DesignPoint(t_hat=4.0, gamma_hat=gamma_hat))
         assert time.perf_counter() - start < 1.0
-        half, _ = mi._lattice(DesignPoint(t_hat=12.0, gamma_hat=0.1))
+        half, _ = mi._lattice(12.0, 0.1)
         assert 2 * half == 192 <= mi.MAX_LATTICE_POINTS // 16
 
     def test_subnormal_filter_refused(self):
@@ -324,7 +324,7 @@ class TestReadInEfficiency:
         # gamma_hat = 8, finer beyond.  eta_in agrees with an SVD at half that step.
         for gamma_hat in (8.0, 8.5, 12.0, 16.0, 24.0):
             point = DesignPoint(4.0, gamma_hat)
-            assert mi._lattice(point)[1] == pytest.approx(lattice_step(point), rel=1e-12)
+            assert mi._lattice(4.0, gamma_hat)[1] == pytest.approx(lattice_step(point), rel=1e-12)
             fine = svd_report(point, step=0.5 * lattice_step(point))["eta_in"]
             assert abs(read_in_efficiency(point) - fine) <= 1e-12
 
@@ -413,9 +413,9 @@ class TestParityFold:
         shapes = {"top": [], "svd": []}
         real_top, real_svd = mi._top_eigenvalue, np.linalg.svd
 
-        def spy_top(blocks, start):
-            shapes["top"].append(blocks.shape)
-            return real_top(blocks, start)
+        def spy_top(tables, omega, start):
+            shapes["top"].append(tables.shape)
+            return real_top(tables, omega, start)
 
         def spy_svd(matrices, *args, **kwargs):
             shapes["svd"].append(matrices.shape)
@@ -425,14 +425,23 @@ class TestParityFold:
         monkeypatch.setattr(np.linalg, "svd", spy_svd)
         # Both cells have the 192-node lattice, so they make one batch.
         sweep_design_space((12.0, 12.0), (0.1, 0.2), (1, 2), workers=1)
-        # The sweep hands the even blocks only to the power iteration, k
-        # matrices of at most n/2 rows and columns, and decomposes nothing.
+        # The sweep hands the even fold tables only to the power iteration,
+        # k matrices of at most n/2 rows and columns, and decomposes nothing.
         assert len(shapes["top"]) == 1 and shapes["top"][0][0] == 2 and max(shapes["top"][0][1:]) <= 96
         assert shapes["svd"] == []
         evaluate_design(DesignPoint(12.0, 0.1))
         assert len(shapes["top"]) == 2 and shapes["top"][1][0] == 1 and max(shapes["top"][1][1:]) <= 96
         assert len(shapes["svd"]) == 1 and shapes["svd"][0][:2] == (2, 1)
         assert max(shapes["svd"][0][2:]) <= 96
+
+    def test_trailing_view_equals_table_at_own_half(self):
+        # A sweep builds a chunk's tables at the largest half any row asks
+        # for and runs each row's cells on the trailing view.
+        gammas = np.linspace(0.1, 12.0, 7)
+        for step in (1.0 / 16.0, 1.0 / 32.0):
+            large = mi._fold_tables(gammas, 320, step)
+            for half in (1, 2, 17, 96, 319):
+                assert np.array_equal(large[:, -half:, -half:], mi._fold_tables(gammas, half, step))
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @DESIGN_DRAWS
@@ -468,12 +477,14 @@ class TestParityFold:
     @DESIGN_DRAWS
     def test_power_iteration_matches_eigvalsh(self, t_hat, gamma_hat, side_pulses, kernel):
         point = DesignPoint(t_hat, gamma_hat, n_side_pulses=side_pulses)
-        _, step, blocks, weights = mi._parity_spectra([point], odd=False)
+        t, step, blocks, weights = mi._parity_spectra([point])
         even = blocks[0]
         expected = np.linalg.eigvalsh(even.transpose(0, 2, 1) @ even)[:, -1]
         # The library's Hermite-Gauss start vector, and a flat one.
         assert abs(weights[0, 0] / step**2 - expected[0]) <= 1e-13 * expected[0]
-        flat = mi._top_eigenvalue(even, np.ones(even.shape[2:3])[None])
+        tables = mi._fold_tables(np.array([gamma_hat]), t.size, step)
+        omega = train_amplitude(PulseTrainSpec(1.0, t_hat, side_pulses), t)
+        flat = mi._top_eigenvalue(tables, omega, np.ones(t.shape)[None])
         assert abs(flat[0] - expected[0]) <= 1e-13 * expected[0]
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -509,12 +520,14 @@ class TestTopEigenvalue:
     def test_cell_alone_equals_cell_in_stack(self):
         # The 64 cells of the acceptance row at t_hat = 12 share the
         # 192-node lattice and stop after different numbers of steps.
-        points = [DesignPoint(12.0, float(g)) for g in np.linspace(0.1, 2.0, 64)]
-        _, _, blocks, _ = mi._parity_spectra(points, odd=False)
-        start = np.random.default_rng(5).uniform(0.5, 1.0, (len(points), blocks.shape[3]))
-        stacked = mi._top_eigenvalue(blocks[0], start)
-        for cell in range(len(points)):
-            alone = mi._top_eigenvalue(blocks[0, cell : cell + 1].copy(), start[cell : cell + 1].copy())
+        gammas = np.linspace(0.1, 2.0, 64)
+        half, step = mi._lattice(12.0, 0.1)
+        tables = mi._fold_tables(gammas, half, step)
+        omega = train_amplitude(PulseTrainSpec(1.0, 12.0, 3), (np.arange(half) + 0.5 - half) * step)
+        start = np.random.default_rng(5).uniform(0.5, 1.0, (gammas.size, half))
+        stacked = mi._top_eigenvalue(tables, omega, start)
+        for cell in range(gammas.size):
+            alone = mi._top_eigenvalue(tables[cell : cell + 1].copy(), omega, start[cell : cell + 1].copy())
             assert alone[0] == stacked[cell]
 
     def test_map_cells_match_svd_within_kato_temple(self):
@@ -525,23 +538,23 @@ class TestTopEigenvalue:
         # 32x64 map), and any cell that does has rho <= tau^(1/32), so that
         # term is at most 2.3e-16.  The rest is the round-off of theta and of
         # the SVD's sigma_1^2, a few eps each on blocks of at most 96 rows
-        # (1.2e-15 at most over the whole 32x64 map), so 1e-14 holds both.
+        # (1.4e-15 at most over the whole 32x64 map), so 1e-14 holds both.
         tau = mi.POWER_TOLERANCE
         assert tau**2 / (1.0 - tau ** (1.0 / mi.POWER_STEPS)) <= 2.3e-16
         four_by_eight = [(t, g) for t in np.linspace(2.0, 5.0, 4) for g in np.linspace(0.2, 1.6, 8)]
         # Every sixth row from the second and every seventh column: 60 cells, the largest rho among them.
         acceptance = [(t, g) for t in np.linspace(2.0, 12.0, 32)[1::6] for g in np.linspace(0.1, 2.0, 64)[::7]]
         for t_hat, gamma_hat in four_by_eight + acceptance:
-            _, step, blocks, weights = mi._parity_spectra([DesignPoint(float(t_hat), float(gamma_hat))], odd=False)
+            _, step, blocks, weights = mi._parity_spectra([DesignPoint(float(t_hat), float(gamma_hat))])
             singular = np.linalg.svd(blocks[0, 0], compute_uv=False)
             assert (singular[1] / singular[0]) ** 2 <= tau ** (1.0 / mi.POWER_STEPS)
             expected = singular[0] ** 2
             assert abs(weights[0, 0] / step**2 - expected) <= 1e-14 * expected, (t_hat, gamma_hat)
 
     def test_near_degenerate_cell_falls_back_to_svd(self, monkeypatch):
-        # K is the symmetric square root of K^T K.  A well-separated cell
-        # converges; in the second lambda_2 / lambda_1 ~ 0.998, so 32 power
-        # steps shrink the residual by only ~7%.
+        # The table is the symmetric square root of K^T K, with a flat pump.
+        # A well-separated cell converges; in the second lambda_2 / lambda_1
+        # ~ 0.998, so 32 power steps shrink the residual by only ~7%.
         grams = np.array([[[2.0, 0.1], [0.1, 0.5]], [[1.0, 1e-3], [1e-3, 0.999]]])
         values, vectors = np.linalg.eigh(grams)
         blocks = (vectors * np.sqrt(values)[:, None, :]) @ vectors.transpose(0, 2, 1)
@@ -554,7 +567,7 @@ class TestTopEigenvalue:
             return calls[-1]
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        top = mi._top_eigenvalue(blocks, np.ones((2, 2)))
+        top = mi._top_eigenvalue(blocks, np.ones(2), np.ones((2, 2)))
         assert [singular.shape for singular in calls] == [(1, 2)]
         assert top[1] == calls[0][0, 0] ** 2
         assert (np.abs(top - expected) <= 1e-13 * expected).all()
@@ -571,16 +584,16 @@ class TestSweep:
         assert (emap.gamma_opt >= 0.1).all() and (emap.gamma_opt <= 2.0).all()
 
     def test_failures_isolated_per_cell(self, monkeypatch):
-        real = mi._parity_spectra
+        real = mi._top_weights
         failing_batches = []
 
-        def flaky(points, *args, **kwargs):
-            if any(abs(p.gamma_hat - 0.1) < 1e-9 and abs(p.t_hat - 2.0) < 1e-9 for p in points):
-                failing_batches.append(points)
+        def flaky(tables, gammas, t_hat, *args):
+            if abs(t_hat - 2.0) < 1e-9 and (np.abs(gammas - 0.1) < 1e-9).any():
+                failing_batches.append(gammas)
                 raise ParameterError("synthetic failure")
-            return real(points, *args, **kwargs)
+            return real(tables, gammas, t_hat, *args)
 
-        monkeypatch.setattr(mi, "_parity_spectra", flaky)
+        monkeypatch.setattr(mi, "_top_weights", flaky)
         emap = sweep_design_space((2.0, 4.0), (0.1, 1.0), (2, 3))
         assert math.isnan(emap.eta_in[0, 0])
         assert np.isfinite(emap.eta_in).sum() == 5
@@ -589,11 +602,11 @@ class TestSweep:
         assert (t_fail, g_fail) == (2.0, 0.1)
         assert "synthetic failure" in message
         # The rest of the failing batch is evaluated cell by cell.
-        others = [p for p in failing_batches[0] if p.gamma_hat != 0.1]
+        others = [g for g in failing_batches[0].tolist() if g != 0.1]
         assert others
-        for point in others:
-            col = int(np.flatnonzero(emap.gamma_values == point.gamma_hat)[0])
-            assert emap.eta_in[0, col] == read_in_efficiency(point)
+        for gamma_hat in others:
+            col = int(np.flatnonzero(emap.gamma_values == gamma_hat)[0])
+            assert emap.eta_in[0, col] == read_in_efficiency(DesignPoint(2.0, gamma_hat))
 
     def test_single_cell_sweep(self):
         emap = sweep_design_space((3.0, 3.0), (0.9, 0.9), (1, 1))
@@ -618,7 +631,7 @@ class TestSweep:
         assert min(len(s) for s in sizes) >= 3 and max(len(s) for s in sizes) == 9
         # At t_hat = 24 the cells at gamma_hat = 0.82 and 9 both have 356
         # nodes, at steps 1/16 and 1/32: one count, two lattices.
-        shared = [mi._lattice(DesignPoint(24.0, g)) for g in (0.82, 9.0)]
+        shared = [mi._lattice(24.0, g) for g in (0.82, 9.0)]
         assert {2 * half for half, _ in shared} == {356} and shared[0] != shared[1]
         for emap in (mixed, sweep_design_space((24.0, 24.0), (0.82, 9.0), (1, 2))):
             assert emap.failures == ()
@@ -626,6 +639,26 @@ class TestSweep:
                 for col, gamma_hat in enumerate(emap.gamma_values):
                     expected = read_in_efficiency(DesignPoint(float(t_hat), float(gamma_hat)))
                     assert emap.eta_in[row, col] == expected
+
+    def test_chunked_map_matches_single_point_evaluation(self, monkeypatch):
+        # A budget of three tables at the rectangle's largest half, 240:
+        # its nine columns split into chunks, each built at its own largest half.
+        built = []
+        real = mi._fold_tables
+
+        def spy(gammas, half, step):
+            built.append((gammas.size, half))
+            return real(gammas, half, step)
+
+        monkeypatch.setattr(mi, "_fold_tables", spy)
+        monkeypatch.setattr(mi, "TABLE_BYTES", 3 * 8 * 240**2)
+        emap = sweep_design_space(*MIXED_LATTICE_RECT, workers=2)
+        assert len(built) >= 2 and sum(k for k, _ in built) == emap.gamma_values.size
+        assert built[0][1] == 240 and all(8 * k * half**2 <= mi.TABLE_BYTES for k, half in built)
+        assert emap.failures == ()
+        for row, t_hat in enumerate(emap.t_values):
+            for col, gamma_hat in enumerate(emap.gamma_values):
+                assert emap.eta_in[row, col] == read_in_efficiency(DesignPoint(float(t_hat), float(gamma_hat)))
 
     def test_cell_over_lattice_cap_is_a_failure(self):
         emap = sweep_design_space((1e4, 1e4), (0.01, 1.0), (1, 2))
